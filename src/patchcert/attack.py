@@ -68,20 +68,19 @@ def select_region_and_target(s: np.ndarray, c_t: int,
                              layers: Sequence[LayerGeom]) -> Tuple[PatchRegion, int]:
     """argmin over feasible regions and rival classes of the delta votes
     outside the dependency rectangle; ties break by region order, then class
-    index. Computed for all pairs at once from one integral image."""
+    index. Computed for all pairs at once from the outside class sums."""
     s = certify.validate_score_map(s)
     if len(regions) == 0:
         raise ValueError("region set must be non-empty")
     h, w, c = s.shape
     if c < 2:
         raise ValueError("need at least 2 classes to pick a target")
-    table = certify.build_integral_image(certify.delta_map(s, c_t))
-    r0, r1, c0, c1, _ = dependency_rects(regions, layers, h, w)
-    inside = table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
-    outside = table[-1, -1][None, :] - inside  # (L, C)
-    outside = outside.astype(np.int64)
-    outside[:, c_t] = np.iinfo(np.int64).max
-    flat = int(outside.argmin())  # row-major: region order first, then class
+    certify.validate_labels([c_t], 1, c)
+    rects = dependency_rects(regions, layers, h, w)
+    _, outside = certify.outside_sums(s, rects, np.int32)  # (L, C)
+    gaps = outside[:, [c_t]].astype(np.int64) - outside
+    gaps[:, c_t] = np.iinfo(np.int64).max
+    flat = int(gaps.argmin())  # row-major: region order first, then class
     return regions[flat // c], flat % c
 
 

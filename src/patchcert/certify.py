@@ -8,7 +8,7 @@ global-margin comparison. All certificate arithmetic is integer-exact.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +53,7 @@ def is_tied(sums: np.ndarray) -> bool:
 def delta_map(s: np.ndarray, c_t: int) -> np.ndarray:
     """Per-cell vote margin: delta[i,j,c] = s[i,j,c_t] - s[i,j,c] (int8)."""
     s = validate_score_map(s)
-    if not 0 <= c_t < s.shape[2]:
-        raise ValueError(f"class {c_t} out of range for {s.shape[2]} classes")
+    validate_labels([c_t], 1, s.shape[2])
     return (s[:, :, c_t:c_t + 1].astype(np.int8) - s.astype(np.int8))
 
 
@@ -62,29 +61,109 @@ def worst_case_map(s: np.ndarray, c_t: int, region: DependencyRegion) -> np.ndar
     """Scores with every cell inside the dependency region flipped maximally
     against class c_t: 1 for c != c_t, 0 for c == c_t."""
     s = validate_score_map(s)
+    if not region.is_empty and (region.row_stop > s.shape[0] or region.col_stop > s.shape[1]
+                                or region.row_start < 0 or region.col_start < 0):
+        raise ValueError(f"dependency region {region} exceeds the {s.shape[:2]} grid")
+    return _flip_against(s, c_t, _slices(region))
+
+
+def _slices(region: DependencyRegion) -> Tuple[slice, slice]:
+    return (slice(region.row_start, region.row_stop),
+            slice(region.col_start, region.col_stop))
+
+
+def _flip_against(s: np.ndarray, c_t: int, idx: tuple) -> np.ndarray:
+    """Copy of s whose cells at the (h, w) index tuple idx (two slices or a
+    boolean mask) vote 1 for every class but c_t and 0 for c_t."""
     out = s.copy()
-    if not region.is_empty:
-        if (region.row_stop > s.shape[0] or region.col_stop > s.shape[1]
-                or region.row_start < 0 or region.col_start < 0):
-            raise ValueError(f"dependency region {region} exceeds the {s.shape[:2]} grid")
-        out[region.row_start:region.row_stop, region.col_start:region.col_stop, :] = 1
-        out[region.row_start:region.row_stop, region.col_start:region.col_stop, c_t] = 0
+    out[idx] = 1
+    out[idx + (c_t,)] = 0
     return out
 
 
-def build_integral_image(delta: np.ndarray) -> np.ndarray:
-    """Per-class summed-area table of a delta map; entry (i,j,c) holds the sum
-    over the half-open rectangle [0,i) x [0,j). Shape (h+1, w+1, c), int32."""
-    delta = np.asarray(delta)
-    h, w, c = delta.shape
-    table = np.zeros((h + 1, w + 1, c), dtype=np.int32)
-    table[1:, 1:, :] = delta.cumsum(axis=0, dtype=np.int32).cumsum(axis=1)
+# ---------------------------------------------------------------------------
+# summed-area kernel shared by every sum-condition path
+
+def validate_labels(labels, b: int, c: int) -> np.ndarray:
+    """Check labels are a (b,) integer array with every entry in [0, c)."""
+    labels = np.asarray(labels)
+    if labels.shape != (b,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be a ({b},) integer array, got shape "
+                         f"{labels.shape} and dtype {labels.dtype}")
+    if b and not (labels.min() >= 0 and labels.max() < c):
+        raise ValueError(f"labels must lie in [0, {c}), got labels from "
+                         f"{labels.min()} to {labels.max()}")
+    return labels
+
+
+def build_integral_image(x: np.ndarray, dtype=np.int32) -> np.ndarray:
+    """Per-class summed-area table of (..., h, w, c) values; entry
+    [..., i, j, :] holds the sum over the half-open rectangle [0,i) x [0,j).
+    Shape (..., h+1, w+1, c). `dtype` must hold every sum exactly: int16 or
+    int32 for binary maps, float64 for relaxed maps."""
+    x = np.asarray(x)
+    *lead, h, w, c = x.shape
+    table = np.zeros((*lead, h + 1, w + 1, c), dtype=dtype)
+    table[..., 1:, 1:, :] = x.cumsum(axis=-3, dtype=dtype).cumsum(axis=-2, dtype=dtype)
     return table
 
 
-def region_sum(table: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Per-class sum over the half-open rectangle [r0,r1) x [c0,c1): 4 lookups."""
-    return (table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0])
+def region_sum(table: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
+    """Per-class sum over the half-open rectangle [r0,r1) x [c0,c1): 4 lookups.
+    Corners may be (L,) index arrays; a (..., h+1, w+1, c) table then gives
+    (..., L, c)."""
+    return (table[..., r1, c1, :] - table[..., r0, c1, :]
+            - table[..., r1, c0, :] + table[..., r0, c0, :])
+
+
+def outside_sums(maps: np.ndarray, rects: Tuple[np.ndarray, ...],
+                 dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Class sums of (..., h, w, c) maps outside each dependency rectangle
+    (from geometry.dependency_rects). Returns (total, outside) of shapes
+    (..., c) and (..., L, c); the table is built in `dtype` and the
+    differences are taken in at least int32."""
+    r0, r1, c0, c1, _ = rects
+    table = build_integral_image(maps, dtype)
+    total = table[..., -1, -1, :].astype(np.promote_types(dtype, np.int32))
+    return total, total[..., None, :] - region_sum(table, r0, r1, c0, c1)
+
+
+def _split_rival(outside: np.ndarray, labels: np.ndarray):
+    """(n, L, C) outside sums -> (true-class sum, strongest rival sum), each
+    (n, L). Overwrites the true-class entries of `outside`."""
+    rows = np.arange(len(labels))
+    out_true = outside[rows, :, labels]
+    # for integers half the range, so that true minus it stays representable
+    outside[rows, :, labels] = (-np.inf if outside.dtype.kind == "f"
+                                else np.iinfo(outside.dtype).min // 2)
+    return out_true, outside.max(axis=2)
+
+
+def _global_gap(sums: np.ndarray, labels: np.ndarray):
+    """(predicted, tied, true-class sum minus the strongest rival) for each
+    row of (n, C) class sums. Ties break to the lowest class index."""
+    rows = np.arange(len(labels))
+    pred = sums.argmax(axis=1)
+    tied = (sums == sums.max(axis=1)[:, None]).sum(axis=1) > 1
+    gap = sums[rows, labels][:, None] - sums
+    gap[rows, labels] = np.inf if gap.dtype.kind == "f" else np.iinfo(gap.dtype).max
+    return pred, tied, gap.min(axis=1)
+
+
+# Maps per chunk for certify_batch and certify_batch_relaxed. At 8 maps the
+# (chunk, L, C) temporaries of 32x32x10 maps at |L|=784 take 250-500 KB, so
+# they stay in a core's L2 cache and are reused from the heap without page
+# faults; 256-map chunks (8-16 MB temporaries) ran slower and spread wider
+# from run to run on a shared 2-vCPU Xeon VM.
+MAP_CHUNK = 8
+
+
+def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
+    """fn(labels, maps) on consecutive chunks, each of its (n,) outputs
+    concatenated; an empty batch still runs once to give typed outputs."""
+    parts = [fn(labels[lo:lo + chunk], maps[lo:lo + chunk])
+             for lo in range(0, max(len(labels), 1), chunk)]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 @dataclass(frozen=True)
@@ -114,37 +193,26 @@ def certify_sum(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                 layers: Sequence[LayerGeom]) -> CertificationResult:
     """Per-region check for the sum aggregator: for every feasible region the
     delta votes outside its dependency rectangle must exceed the rectangle
-    area. Evaluated for all regions at once via the integral image."""
+    area. The single-map case of certify_batch."""
     s = validate_score_map(s)
     if not regions:
         raise ValueError("region set must be non-empty")
-    h, w, c = s.shape
-    pred, sums = classify(s)
-    r0, r1, c0, c1, area = dependency_rects(regions, layers, h, w)
-    table = build_integral_image(delta_map(s, c_t))
-    inside = (table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0])  # (L, C)
-    total = table[-1, -1]
-    outside = total[None, :] - inside
-    outside[:, c_t] = np.iinfo(np.int32).max
-    worst_by_region = outside.min(axis=1) - area  # (L,)
-    idx = int(worst_by_region.argmin())
-    margin = int(worst_by_region[idx])
-    tied = is_tied(sums)
+    h, w, _ = s.shape
+    rects = dependency_rects(regions, layers, h, w)
+    res = certify_batch(s[None], [c_t], rects, int(rects[4].max()))
     return CertificationResult(
-        predicted=pred, tied=tied,
-        certified_sum=bool(margin > 0 and _clean_ok(pred, tied, c_t)),
-        margin=margin, limiting_region=regions[idx])
+        predicted=int(res.predicted[0]), tied=bool(res.tied[0]),
+        certified_sum=bool(res.certified_sum[0]), margin=int(res.margin_sum[0]),
+        limiting_region=regions[int(res.limiting_index[0])])
 
 
 def certify_cheap(s: np.ndarray, c_t: int, r_max: int) -> CertificationResult:
     """Constant-time check: the global delta sum of every rival class must
     exceed twice the largest dependency-region cardinality."""
     s = validate_score_map(s)
-    pred, sums = classify(s)
-    deltas = sums[c_t] - sums
-    deltas[c_t] = np.iinfo(np.int64).max
-    margin = int(deltas.min() - 2 * r_max)
-    tied = is_tied(sums)
+    labels = validate_labels([c_t], 1, s.shape[2])
+    pred, tied, gap = _global_gap(s.sum(axis=(0, 1), dtype=np.int64)[None], labels)
+    pred, tied, margin = int(pred[0]), bool(tied[0]), int(gap[0] - 2 * r_max)
     return CertificationResult(
         predicted=pred, tied=tied,
         certified_cheap=bool(margin > 0 and _clean_ok(pred, tied, c_t)),
@@ -194,11 +262,10 @@ def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
     demand strict dominance of c_t under the aggregator. Costs one aggregator
     evaluation per feasible region."""
     s = validate_score_map(s)
-    if not regions:
-        raise ValueError("region set must be non-empty")
     h, w, _ = s.shape
-    deps = [dependency_region(r, layers, h, w) for r in regions]
-    return _certify_generic_deps(s, c_t, regions, deps, g)
+    slices = [_slices(dependency_region(r, layers, h, w)) for r in regions]
+    res, i = _certify_worst_case(s, c_t, slices, g)
+    return replace(res, limiting_region=regions[i])
 
 
 def certify_generic_masks(s: np.ndarray, c_t: int,
@@ -207,44 +274,31 @@ def certify_generic_masks(s: np.ndarray, c_t: int,
     """Generic path over explicit (possibly non-rectangular) output index sets,
     one boolean (h,w) mask per feasible region."""
     s = validate_score_map(s)
+    return _certify_worst_case(s, c_t, [(mask,) for mask in masks], g)[0]
+
+
+def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
+    """For each index tuple over the (h, w) grid (a pair of slices or a
+    boolean mask), set its cells maximally against c_t and take the smallest
+    gap g_{c_t} - g_c over rivals. Returns (result, index of the limiting
+    set); ties keep the first."""
+    validate_labels([c_t], 1, s.shape[2])
     pred, sums = classify(s)
     tied = is_tied(sums)
-    worst = None
-    for mask in masks:
-        s_wc = s.copy()
-        s_wc[mask, :] = 1
-        s_wc[mask, c_t] = 0
-        scores = np.asarray(g.fn(s_wc), dtype=np.int64)
+    worst = limiting = None
+    for i, idx in enumerate(index_sets):
+        scores = np.asarray(g.fn(_flip_against(s, c_t, idx)), dtype=np.int64)
         gaps = scores[c_t] - scores
         gaps[c_t] = np.iinfo(np.int64).max
         gap = int(gaps.min())
         if worst is None or gap < worst:
-            worst = gap
+            worst, limiting = gap, i
     if worst is None:
         raise ValueError("region set must be non-empty")
     return CertificationResult(
         predicted=pred, tied=tied,
         certified_generic=bool(worst > 0 and _clean_ok(pred, tied, c_t)),
-        margin=worst, limiting_region=None)
-
-
-def _certify_generic_deps(s, c_t, regions, deps, g) -> CertificationResult:
-    pred, sums = classify(s)
-    tied = is_tied(sums)
-    worst = None
-    limiting = None
-    for region, dep in zip(regions, deps):
-        s_wc = worst_case_map(s, c_t, dep)
-        scores = np.asarray(g.fn(s_wc), dtype=np.int64)
-        gaps = scores[c_t] - scores
-        gaps[c_t] = np.iinfo(np.int64).max
-        gap = int(gaps.min())
-        if worst is None or gap < worst:
-            worst, limiting = gap, region
-    return CertificationResult(
-        predicted=pred, tied=tied,
-        certified_generic=bool(worst > 0 and _clean_ok(pred, tied, c_t)),
-        margin=worst, limiting_region=limiting)
+        margin=worst, limiting_region=None), limiting
 
 
 def certify_all(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
@@ -295,7 +349,7 @@ class BatchCertification:
 
 def certify_batch(maps: np.ndarray, labels: np.ndarray,
                   rects: Tuple[np.ndarray, ...], r_max: int,
-                  chunk: int = 256) -> BatchCertification:
+                  chunk: int = MAP_CHUNK) -> BatchCertification:
     """Certify (B,h,w,C) binary maps against precomputed dependency rectangles
     (from geometry.dependency_rects). Integer-exact throughout.
 
@@ -304,65 +358,24 @@ def certify_batch(maps: np.ndarray, labels: np.ndarray,
     sums, so no delta map is materialized.
     """
     maps = _validate_batch_maps(maps)
-    labels = np.asarray(labels)
     b, h, w, c = maps.shape
-    r0, r1, c0, c1, area = rects
-    flat_w = w + 1
-    i11 = r1 * flat_w + c1
-    i01 = r0 * flat_w + c1
-    i10 = r1 * flat_w + c0
-    i00 = r0 * flat_w + c0
-
-    pred = np.empty(b, dtype=np.int64)
-    tied = np.empty(b, dtype=bool)
-    cert_s = np.empty(b, dtype=bool)
-    cert_c = np.empty(b, dtype=bool)
-    margin_s = np.empty(b, dtype=np.int64)
-    margin_c = np.empty(b, dtype=np.int64)
-    lim = np.empty(b, dtype=np.int64)
-
+    labels = validate_labels(labels, b, c)
+    area = rects[4]
     # score sums are bounded by h*w, so int16 tables suffice on typical grids
     table_dtype = np.int16 if h * w <= np.iinfo(np.int16).max else np.int32
-    sentinel = np.int32(np.iinfo(np.int32).min // 2)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        s = maps[lo:hi]
-        y = labels[lo:hi]
-        n = hi - lo
-        rows = np.arange(n)
-        table = np.zeros((n, h + 1, w + 1, c), dtype=table_dtype)
-        table[:, 1:, 1:, :] = s.cumsum(axis=1, dtype=table_dtype).cumsum(axis=2, dtype=table_dtype)
-        flat = table.reshape(n, (h + 1) * flat_w, c)
-        inside = (flat[:, i11].astype(np.int32) - flat[:, i01]
-                  - flat[:, i10] + flat[:, i00])             # (n, L, C)
-        total = flat[:, -1].astype(np.int32)                 # (n, C)
-        outside = total[:, None, :] - inside
-        out_true = outside[rows, :, y]                       # (n, L)
-        outside[rows, :, y] = sentinel
-        rival = outside.max(axis=2)                          # (n, L)
-        worst = out_true - rival - area[None, :]             # (n, L)
-        lim_i = worst.argmin(axis=1)
-        m_s = worst[rows, lim_i]
 
-        sums = total.astype(np.int64)
-        p = sums.argmax(axis=1)
-        top = sums.max(axis=1)
-        t = (sums == top[:, None]).sum(axis=1) > 1
-        d = sums[rows, y][:, None] - sums
-        d[rows, y] = np.iinfo(np.int64).max
-        m_c = d.min(axis=1) - 2 * r_max
+    def run(y, s):
+        total, outside = outside_sums(s, rects, table_dtype)
+        out_true, rival = _split_rival(outside, y)
+        worst = out_true - rival - area                      # (n, L)
+        lim = worst.argmin(axis=1)
+        m_s = worst[np.arange(len(y)), lim]
+        pred, tied, gap = _global_gap(total.astype(np.int64), y)
+        m_c = gap - 2 * r_max
+        clean = (pred == y) & ~tied
+        return pred, tied, (m_s > 0) & clean, (m_c > 0) & clean, m_s, m_c, lim
 
-        clean = (p == y) & ~t
-        pred[lo:hi] = p
-        tied[lo:hi] = t
-        margin_s[lo:hi] = m_s
-        margin_c[lo:hi] = m_c
-        lim[lo:hi] = lim_i
-        cert_s[lo:hi] = (m_s > 0) & clean
-        cert_c[lo:hi] = (m_c > 0) & clean
-    return BatchCertification(predicted=pred, tied=tied, certified_sum=cert_s,
-                              certified_cheap=cert_c, margin_sum=margin_s,
-                              margin_cheap=margin_c, limiting_index=lim)
+    return BatchCertification(*_by_chunk(run, labels, maps, chunk))
 
 
 def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int,
@@ -370,32 +383,19 @@ def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int,
     """Global-margin condition only, vectorized; cost is independent of the
     number of feasible regions. Returns (certified, margin, predicted)."""
     maps = _validate_batch_maps(maps)
-    labels = np.asarray(labels)
-    b = maps.shape[0]
-    cert = np.empty(b, dtype=bool)
-    margin = np.empty(b, dtype=np.int64)
-    pred = np.empty(b, dtype=np.int64)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        s = maps[lo:hi]
-        y = labels[lo:hi]
-        rows = np.arange(hi - lo)
-        sums = s.sum(axis=(1, 2), dtype=np.int64)
-        p = sums.argmax(axis=1)
-        top = sums.max(axis=1)
-        t = (sums == top[:, None]).sum(axis=1) > 1
-        d = sums[rows, y][:, None] - sums
-        d[rows, y] = np.iinfo(np.int64).max
-        m = d.min(axis=1) - 2 * r_max
-        pred[lo:hi] = p
-        margin[lo:hi] = m
-        cert[lo:hi] = (m > 0) & (p == y) & ~t
-    return cert, margin, pred
+    labels = validate_labels(labels, len(maps), maps.shape[3])
+
+    def run(y, s):
+        pred, tied, gap = _global_gap(s.sum(axis=(1, 2), dtype=np.int64), y)
+        margin = gap - 2 * r_max
+        return (margin > 0) & (pred == y) & ~tied, margin, pred
+
+    return tuple(_by_chunk(run, labels, maps, chunk))
 
 
 def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
                           rects: Tuple[np.ndarray, ...], r_max: int,
-                          chunk: int = 256):
+                          chunk: int = MAP_CHUNK):
     """Same decisions for relaxed score maps with entries in [0,1] (sigmoid or
     softmax heads). The bounds only use 0 <= s <= 1, so the conditions stay
     sound; sums are float64 and compared strictly, no tolerance.
@@ -403,44 +403,21 @@ def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
     Returns (certified_sum, certified_cheap, predicted) boolean/int arrays.
     """
     maps = np.asarray(maps, dtype=np.float64)
-    labels = np.asarray(labels)
     if maps.min(initial=0.0) < 0.0 or maps.max(initial=0.0) > 1.0:
         raise ValueError("relaxed score maps must lie in [0,1]")
-    b, h, w, c = maps.shape
-    r0, r1, c0, c1, area = rects
-    cert_s = np.empty(b, dtype=bool)
-    cert_c = np.empty(b, dtype=bool)
-    pred = np.empty(b, dtype=np.int64)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        s = maps[lo:hi]
-        y = labels[lo:hi]
-        n = hi - lo
-        rows = np.arange(n)
-        table = np.zeros((n, h + 1, w + 1, c), dtype=np.float64)
-        table[:, 1:, 1:, :] = s.cumsum(axis=1).cumsum(axis=2)
-        flat = table.reshape(n, (h + 1) * (w + 1), c)
-        inside = flat[:, r1 * (w + 1) + c1] - flat[:, r0 * (w + 1) + c1] \
-            - flat[:, r1 * (w + 1) + c0] + flat[:, r0 * (w + 1) + c0]
-        total = flat[:, -1]
-        outside = total[:, None, :] - inside
-        out_true = outside[rows, :, y]
-        outside[rows, :, y] = -np.inf
-        rival = outside.max(axis=2)
-        ok_s = ((out_true - rival) > area[None, :]).all(axis=1)
+    b, _, _, c = maps.shape
+    labels = validate_labels(labels, b, c)
+    area = rects[4]
 
-        p = total.argmax(axis=1)
-        top = total.max(axis=1)
-        t = (total == top[:, None]).sum(axis=1) > 1
-        d = total[rows, y][:, None] - total
-        d[rows, y] = np.inf
-        ok_c = d.min(axis=1) > 2.0 * r_max
+    def run(y, s):
+        total, outside = outside_sums(s, rects, np.float64)
+        out_true, rival = _split_rival(outside, y)
+        pred, tied, gap = _global_gap(total, y)
+        clean = (pred == y) & ~tied
+        return (((out_true - rival) > area).all(axis=1) & clean,
+                (gap > 2.0 * r_max) & clean, pred)
 
-        clean = (p == y) & ~t
-        cert_s[lo:hi] = ok_s & clean
-        cert_c[lo:hi] = ok_c & clean
-        pred[lo:hi] = p
-    return cert_s, cert_c, pred
+    return tuple(_by_chunk(run, labels, maps, chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import certify, data, geometry, model, runio, train as train_mod
-from .model import BLOCK_KERNELS
 
 
 class ConfigError(ValueError):
@@ -138,35 +137,42 @@ def _parse_patches(text: str) -> List[Tuple[int, int]]:
     return [_parse_patch(part) for part in text.split(",") if part.strip()]
 
 
-def _resolve_train_dataset(config: Dict, seed: int) -> data.DatasetHandle:
+def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
+    """The "train" or "eval" split of the configured data source."""
     d = config["data"]
     if d["source"] == "synth":
-        return data.synth_textures(d["n_per_class"], d["height"], d["width"], seed)
-    if d["source"] == "cifar10":
-        if not d["cifar_dir"]:
-            raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")
-        try:
-            train_ds, _ = data.load_cifar10(d["cifar_dir"])
-        except ValueError as e:
-            raise ConfigError(str(e))
-        return train_ds
-    raise ConfigError(f"unknown data source {d['source']!r}")
-
-
-def _resolve_eval_dataset(config: Dict, seed: int) -> data.DatasetHandle:
-    d = config["data"]
-    if d["source"] == "synth":
+        if split == "train":
+            return data.synth_textures(d["n_per_class"], d["height"], d["width"], seed)
         return data.synth_textures(d["eval_n_per_class"], d["height"], d["width"],
                                    seed + d["eval_seed_offset"], split="eval")
     if d["source"] == "cifar10":
         if not d["cifar_dir"]:
             raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")
         try:
-            _, test_ds = data.load_cifar10(d["cifar_dir"])
+            train_ds, test_ds = data.load_cifar10(d["cifar_dir"])
         except ValueError as e:
             raise ConfigError(str(e))
-        return test_ds
+        return train_ds if split == "train" else test_ds
     raise ConfigError(f"unknown data source {d['source']!r}")
+
+
+def _eval_split(config: Dict, seed: int, spec: model.NetworkSpec,
+                limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first `limit` (0 = all) evaluation images and labels, checked
+    against the checkpoint's input shape and class count."""
+    dataset = _resolve_dataset(config, seed, "eval")
+    if dataset.image_shape != tuple(spec.input_shape):
+        raise ConfigError(f"dataset images {dataset.image_shape} do not match the "
+                          f"checkpoint input {spec.input_shape}")
+    limit = limit or len(dataset)
+    images = dataset.images[:limit]
+    labels = dataset.labels[:limit]
+    if len(images) == 0:
+        raise ConfigError("evaluation split is empty")
+    if labels.max() >= spec.classes:
+        raise ConfigError(f"evaluation labels reach {labels.max()} but the checkpoint "
+                          f"has {spec.classes} classes")
+    return images, labels
 
 
 def _build_spec(config: Dict, dataset: data.DatasetHandle) -> model.NetworkSpec:
@@ -191,19 +197,11 @@ def _load_checkpoint(path: str):
     return model.load_checkpoint(path)
 
 
-def _forward_maps(params, spec, images: np.ndarray, batch: int = 128) -> np.ndarray:
-    out = []
-    for lo in range(0, len(images), batch):
-        _, scores = model.forward(params, spec, images[lo:lo + batch], spec.activation)
-        out.append(scores.data)
-    return np.concatenate(out)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_train(out_dir: str, config: Dict, seed: int) -> int:
-    dataset = _resolve_train_dataset(config, seed)
+    dataset = _resolve_dataset(config, seed, "train")
     spec = _build_spec(config, dataset)
     t = config["train"]
     try:
@@ -239,15 +237,7 @@ SUMMARY_HEADER = ("patch_h", "patch_w", "condition", "n", "n_certified", "cert_a
 def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
     c = config["certify"]
     params, spec, _ = _load_checkpoint(c["checkpoint"])
-    dataset = _resolve_eval_dataset(config, seed)
-    if dataset.image_shape != tuple(spec.input_shape):
-        raise ConfigError(f"dataset images {dataset.image_shape} do not match the "
-                          f"checkpoint input {spec.input_shape}")
-    limit = c["limit"] or len(dataset)
-    images = dataset.images[:limit]
-    labels = dataset.labels[:limit]
-    if len(images) == 0:
-        raise ConfigError("evaluation split is empty")
+    images, labels = _eval_split(config, seed, spec, c["limit"])
     condition = str(c["condition"])
     if condition not in ("1", "2", "3", "all"):
         raise ConfigError(f"condition must be one of 1|2|3|all, got {condition!r}")
@@ -261,7 +251,7 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
         raise ConfigError("no patch shapes configured")
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
-    maps = _forward_maps(params, spec, images)
+    maps = model.forward_maps(params, spec, images, 128)
     summary_rows = []
     for ph, pw in patches:
         try:
@@ -328,12 +318,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     if spec.activation != "heaviside_st":
         raise ConfigError("the patch attack drives the straight-through head; "
                           "attack a heaviside_st checkpoint")
-    dataset = _resolve_eval_dataset(config, seed)
-    limit = a["limit"] or len(dataset)
-    images = dataset.images[:limit]
-    labels = dataset.labels[:limit]
-    if len(images) == 0:
-        raise ConfigError("evaluation split is empty")
+    images, labels = _eval_split(config, seed, spec, a["limit"])
     ph, pw = _parse_patch(a["patch"])
     try:
         base = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
@@ -346,7 +331,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     regions = geometry.enumerate_regions(h_in, w_in, ph, pw)
     rects = geometry.dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
-    maps = _forward_maps(params, spec, images).astype(np.uint8)
+    maps = model.forward_maps(params, spec, images, 128).astype(np.uint8)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
     def run_one(i: int) -> attack_mod.AttackResult:
@@ -411,12 +396,10 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     rng = np.random.default_rng(seed + 1)
     labels = rng.integers(0, c, size=n)
 
-    rf = b["rf"]
-    if rf not in BLOCK_KERNELS:
-        raise ConfigError(f"bench rf must be one of {sorted(BLOCK_KERNELS)}")
-    layers = ([geometry.LayerGeom(3)]
-              + [geometry.LayerGeom(k) for k in BLOCK_KERNELS[rf]]
-              + [geometry.LayerGeom(1)])
+    try:
+        layers = model.cifar_spec(b["rf"]).layer_geom()
+    except ValueError as e:
+        raise ConfigError(str(e))
 
     rows = []
 

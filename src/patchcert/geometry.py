@@ -175,4 +175,4 @@ def r_max(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],
     """Largest dependency-region cardinality over the feasible set."""
     if not regions:
         raise ValueError("region set must be non-empty")
-    return max(dependency_region(r, layers, h_in, w_in).size for r in regions)
+    return int(dependency_rects(regions, layers, h_in, w_in)[4].max())

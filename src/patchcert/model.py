@@ -227,6 +227,15 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
     return logits, scores
 
 
+def forward_maps(params: Parameters, spec: NetworkSpec, images: np.ndarray,
+                 batch: int) -> np.ndarray:
+    """Score maps of a whole image array, forwarded `batch` images at a time.
+    Relaxed heads can differ in the last bits between batch sizes, so callers
+    keep theirs fixed."""
+    return np.concatenate([forward(params, spec, images[lo:lo + batch])[1].data
+                           for lo in range(0, len(images), batch)])
+
+
 def binary_scores(scores: Tensor) -> np.ndarray:
     """Score tensor of a heaviside head -> uint8 array for the certifier."""
     arr = scores.data if isinstance(scores, Tensor) else np.asarray(scores)

@@ -209,12 +209,7 @@ def _evaluate(params: Parameters, spec: NetworkSpec, images: np.ndarray,
               batch: int = 64) -> Tuple[float, float, float]:
     """Clean and certified accuracy (conditions on sums and on the global
     margin) over an evaluation split."""
-    n = len(images)
-    maps = []
-    for lo in range(0, n, batch):
-        _, scores = model.forward(params, spec, images[lo:lo + batch], mode)
-        maps.append(scores.data)
-    maps = np.concatenate(maps)
+    maps = model.forward_maps(params, spec, images, batch)
     if mode == "heaviside_st":
         res = certify.certify_batch(maps.astype(np.uint8), labels, rects, rmax)
         clean = float((res.predicted == labels).mean())

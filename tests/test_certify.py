@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchcert import certify
+from patchcert.attack import select_region_and_target
 from patchcert.certify import (G_SUM, build_integral_image, certify_all,
                                certify_batch, certify_batch_cheap,
                                certify_batch_relaxed, certify_cheap,
@@ -11,7 +14,7 @@ from patchcert.certify import (G_SUM, build_integral_image, certify_all,
                                region_sum, save_score_maps, worst_case_map)
 from patchcert.geometry import (DependencyRegion, LayerGeom, PatchRegion,
                                 dependency_rects, dependency_region,
-                                enumerate_regions, r_max)
+                                enumerate_regions, r_max, receptive_field)
 
 from conftest import brute_force_certified, naive_rect_sum
 
@@ -295,6 +298,119 @@ class TestBatchPath:
         assert np.array_equal(cert_s, batch.certified_sum)
         assert np.array_equal(cert_c, batch.certified_cheap)
         assert np.array_equal(pred, batch.predicted)
+
+
+class TestLabelValidation:
+    """Every entry point rejects labels that are not one in-range class per
+    map, instead of wrapping, truncating or raising a raw IndexError."""
+
+    @staticmethod
+    def batch_case(rng):
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(6, 6, 2, 2)
+        rects = dependency_rects(regions, layers, 6, 6)
+        maps = rng.integers(0, 2, size=(4, 6, 6, 3)).astype(np.uint8)
+        return maps, rects, int(rects[4].max())
+
+    BATCH_PATHS = {
+        "batch": lambda m, y, rects, rmax: tuple(vars(certify_batch(m, y, rects, rmax)).values()),
+        "cheap": lambda m, y, rects, rmax: certify_batch_cheap(m, y, rmax),
+        "relaxed": lambda m, y, rects, rmax: certify_batch_relaxed(
+            m.astype(np.float64), y, rects, rmax),
+    }
+    BAD_LABELS = {
+        "negative": np.array([0, 1, -1, 2]),
+        "too_large": np.array([0, 1, 3, 2]),
+        "too_long": np.array([0, 1, 2, 0, 1]),
+        "too_short": np.array([0, 1, 2]),
+        "float": np.array([0.0, 1.0, 2.0, 0.0]),
+        "two_dim": np.array([[0, 1, 2, 0]]),
+    }
+
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    @pytest.mark.parametrize("bad", sorted(BAD_LABELS))
+    def test_batch_paths_reject(self, rng, path, bad):
+        maps, rects, rmax = self.batch_case(rng)
+        with pytest.raises(ValueError, match="labels"):
+            self.BATCH_PATHS[path](maps, self.BAD_LABELS[bad], rects, rmax)
+
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    def test_unsigned_labels_accepted(self, rng, path):
+        maps, rects, rmax = self.batch_case(rng)
+        y = np.array([0, 1, 2, 0])
+        want = self.BATCH_PATHS[path](maps, y, rects, rmax)
+        got = self.BATCH_PATHS[path](maps, y.astype(np.uint8), rects, rmax)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    @pytest.mark.parametrize("c_t", [-1, 3])
+    def test_single_map_paths_reject(self, rng, c_t):
+        s = rng.integers(0, 2, size=(6, 6, 3)).astype(np.uint8)
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(6, 6, 2, 2)
+        for call in (lambda: certify_cheap(s, c_t, 4),
+                     lambda: certify_sum(s, c_t, regions, layers),
+                     lambda: certify_generic(s, c_t, regions, layers),
+                     lambda: certify_generic_masks(s, c_t, [np.ones((6, 6), bool)]),
+                     lambda: select_region_and_target(s, c_t, regions, layers)):
+            with pytest.raises(ValueError, match="labels"):
+                call()
+
+
+@st.composite
+def batch_geometries(draw):
+    """A layer stack (stride 1 or 2), an input grid, a patch shape and a batch
+    of binary maps on the stack's output grid, each leaning towards its label
+    so that certificates occur."""
+    layers = draw(st.lists(st.builds(LayerGeom, st.sampled_from([1, 3]),
+                                     st.sampled_from([1, 1, 2])),
+                           min_size=1, max_size=4))
+    h_in, w_in = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    ph = draw(st.integers(1, h_in) | st.integers(1, min(2, h_in)))
+    pw = draw(st.integers(1, w_in) | st.integers(1, min(2, w_in)))
+    c = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    chunk = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    info = receptive_field(layers, h_in, w_in)
+    labels = rng.integers(0, c, size=n)
+    p = np.full((n, 1, 1, c), draw(st.floats(0.0, 0.4)))
+    p[np.arange(n), 0, 0, labels] = draw(st.floats(0.5, 1.0))
+    maps = (rng.random((n, info.h_out, info.w_out, c)) < p).astype(np.uint8)
+    return layers, h_in, w_in, ph, pw, maps, labels, chunk
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(batch_geometries())
+def test_certify_batch_matches_brute_force(case):
+    layers, h_in, w_in, ph, pw, maps, labels, chunk = case
+    regions = enumerate_regions(h_in, w_in, ph, pw)
+    rects = dependency_rects(regions, layers, h_in, w_in)
+    rmax = int(rects[4].max())
+    batch = certify_batch(maps, labels, rects, rmax, chunk=chunk)
+    n, h_out, w_out, c = maps.shape
+    assert all(len(v) == n for v in vars(batch).values())
+    boxes = list(zip(*(a.tolist() for a in rects[:4])))
+    masks = []
+    for r0, r1, c0, c1 in boxes:
+        mask = np.zeros((h_out, w_out), dtype=bool)
+        mask[r0:r1, c0:c1] = True
+        masks.append(mask)
+    for s, y, *got in zip(maps, labels, batch.predicted, batch.certified_sum,
+                          batch.certified_cheap, batch.margin_sum,
+                          batch.margin_cheap, batch.limiting_index):
+        y = int(y)
+        delta = s[:, :, y:y + 1].astype(np.int64) - s
+        total = delta.sum(axis=(0, 1))
+        worst = [min(int(total[k] - naive_rect_sum(delta, *box)[k])
+                     for k in range(c) if k != y) - (box[1] - box[0]) * (box[3] - box[2])
+                 for box in boxes]
+        sums = s.sum(axis=(0, 1), dtype=np.int64)
+        pred = int(sums.argmax())
+        clean = pred == y and (sums == sums.max()).sum() == 1
+        margin_cheap = min(int(sums[y] - sums[k]) for k in range(c) if k != y) - 2 * rmax
+        want = [pred, brute_force_certified(s, y, masks), clean and margin_cheap > 0,
+                min(worst), margin_cheap, worst.index(min(worst))]
+        assert [int(v) for v in got] == [int(v) for v in want]
 
 
 class TestScoreMapBlobs:

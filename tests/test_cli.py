@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import patchcert
-from patchcert import certify
+from patchcert import certify, model
 from patchcert.cli import ConfigError, main, resolve_config
+from patchcert.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, encode_records
 
 
 def read_csv(path):
@@ -164,11 +165,71 @@ class TestAttackCommand:
         assert code == 1
 
 
+def untrained_checkpoint(path, input_shape, classes):
+    spec = model.cifar_spec(5, input_shape=input_shape, width=4, classes=classes)
+    model.save_checkpoint(model.build_model(spec, 0), spec, path)
+    return path
+
+
+def fake_cifar_dir(path):
+    """Tiny CIFAR-format batches; the test batch holds labels 0-9."""
+    rng = np.random.default_rng(0)
+    path.mkdir()
+    for name, labels in [(n, [0, 1]) for n in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, range(10))]:
+        images = rng.random((len(labels), 32, 32, 3)).astype(np.float32)
+        (path / name).write_bytes(encode_records(images, np.array(labels)))
+    return path
+
+
+class TestEvalSplitChecks:
+    """certify and attack reject an evaluation split the checkpoint cannot
+    score, with exit code 1 and a message naming the problem."""
+
+    @pytest.mark.parametrize("cmd", ["certify", "attack"])
+    def test_image_shape_mismatch_exit_1(self, tmp_path, capsys, cmd):
+        ckpt = untrained_checkpoint(tmp_path / "c.pckp", (32, 32, 3), 2)
+        code = main([cmd, "--out", str(tmp_path / "o"),
+                     "--set", f"{cmd}.checkpoint={ckpt}",
+                     "--set", "data.eval_n_per_class=2"])
+        assert code == 1
+        assert "do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["certify", "attack"])
+    def test_labels_beyond_checkpoint_classes_exit_1(self, tmp_path, capsys, cmd):
+        ckpt = untrained_checkpoint(tmp_path / "c.pckp", (32, 32, 3), 2)
+        cifar = fake_cifar_dir(tmp_path / "cifar")
+        code = main([cmd, "--out", str(tmp_path / "o"),
+                     "--set", f"{cmd}.checkpoint={ckpt}",
+                     "--set", "data.source=cifar10",
+                     "--set", f"data.cifar_dir={cifar}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "labels reach 9" in err and "2 classes" in err
+
+    def test_certify_on_cifar_batches(self, tmp_path):
+        ckpt = untrained_checkpoint(tmp_path / "c.pckp", (32, 32, 3), 10)
+        cifar = fake_cifar_dir(tmp_path / "cifar")
+        out = tmp_path / "o"
+        code = main(["certify", "--out", str(out),
+                     "--set", f"certify.checkpoint={ckpt}",
+                     "--set", "data.source=cifar10",
+                     "--set", f"data.cifar_dir={cifar}",
+                     "--set", "certify.condition=2"])
+        assert code == 0
+        detail = read_csv(out / "certify_detail_3x3.csv")
+        assert [row[1] for row in detail[1:]] == [str(k) for k in range(10)]
+
+
 class TestBenchCommand:
     def test_zero_repetitions_exit_1(self, tmp_path):
         code = main(["bench", "--out", str(tmp_path / "o"),
                      "--set", "bench.repetitions=0"])
         assert code == 1
+
+    def test_unknown_rf_exit_1(self, tmp_path, capsys):
+        code = main(["bench", "--out", str(tmp_path / "o"), "--set", "bench.rf=6"])
+        assert code == 1
+        assert "rf 6" in capsys.readouterr().err
 
     def test_small_bench_runs(self, tmp_path):
         out = tmp_path / "bench"
