@@ -3,7 +3,7 @@ outside vote margin, then run sign-gradient PGD on the patch pixels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -88,7 +88,14 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
                      c_t: int, config: AttackConfig) -> AttackResult:
     """Fixed-region, fixed-target PGD: ascend the margin-loss objective with
     respect to the patch pixels only, stepping by sign(grad) and clipping to
-    [0,1]. Gradients reach the patch through the straight-through head."""
+    [0,1]. Gradients reach the patch through the straight-through head.
+
+    The patch changes only the votes inside its dependency region R(l), and
+    those read only the input within rf-1 pixels of the patch. So each step
+    runs on that crop: the objective is the clean votes outside R(l), which
+    are fixed, plus the crop's votes inside R(l). Every output in R(l) lies
+    rf//2 pixels or more inside an interior crop edge, so it sees exactly
+    what it sees in the full image."""
     x = np.asarray(x, dtype=np.float32)
     h_in, w_in, c_in = spec.input_shape
     if x.shape != (h_in, w_in, c_in):
@@ -104,17 +111,32 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
 
     h_out, w_out, _ = spec.output_shape()
     area = float(h_out * w_out)
+    rects = dependency_rects([region], layers, h_in, w_in)
+    _, outside = certify.outside_sums(clean_map, rects, np.int32)
+    fixed = Tensor(outside.astype(np.float32))  # (1, C) votes the patch cannot move
+
+    reach = geometry.receptive_field(layers, h_in, w_in).rf_h - 1
+    top, left = max(region.top - reach, 0), max(region.left - reach, 0)
+    bottom = min(region.top + region.height + reach, h_in)
+    right = min(region.left + region.width + reach, w_in)
+    crop_spec = replace(spec, input_shape=(bottom - top, right - left, c_in))
+    crop_x = x[top:bottom, left:right]
+    local = PatchRegion(region.top - top, region.left - left, region.height, region.width)
+    # stride 1: output (i, j) sits on pixel (i, j), so R(l) shifts with the crop
+    r0, r1, c0, c1, _ = (int(v[0]) for v in rects)
+    window = (slice(r0 - top, r1 - top), slice(c0 - left, c1 - left))
+
     rng = np.random.default_rng(config.seed)
     patch = rng.random((config.patch_h, config.patch_w, c_in), dtype=np.float32)
 
-    rs = slice(region.top, region.top + region.height)
-    cs = slice(region.left, region.left + region.width)
+    rs = slice(local.top, local.top + local.height)
+    cs = slice(local.left, local.left + local.width)
     trace: List[float] = []
     for step in range(config.steps):
-        adv = Tensor(apply_patch(x, patch, region)[None])
+        adv = Tensor(apply_patch(crop_x, patch, local)[None])
         tape = GradTape()
-        _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape)
-        sums = core.class_sums(scores, tape=tape)
+        _, scores = model.forward(params, crop_spec, adv, "heaviside_st", tape=tape)
+        sums = core.add(fixed, core.class_sums(scores, window, tape=tape), tape=tape)
         loss = _target_margin_loss(sums, c_t, target, area, config.margin, tape)
         trace.append(float(loss.data))
         grads = tape.gradients(loss, [adv])

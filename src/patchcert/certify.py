@@ -320,10 +320,14 @@ def certify_all(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
 # ---------------------------------------------------------------------------
 # batch fast path
 
-def _validate_batch_maps(maps: np.ndarray) -> np.ndarray:
-    maps = np.asarray(maps)
+def _require_batch_shape(maps: np.ndarray) -> None:
     if maps.ndim != 4:
         raise ValueError(f"expected (B,h,w,C) maps, got shape {maps.shape}")
+
+
+def _validate_batch_maps(maps: np.ndarray) -> np.ndarray:
+    maps = np.asarray(maps)
+    _require_batch_shape(maps)
     if maps.dtype != np.uint8:
         cast = maps.astype(np.uint8)
         if not np.array_equal(cast.astype(maps.dtype), maps):
@@ -403,6 +407,7 @@ def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
     Returns (certified_sum, certified_cheap, predicted) boolean/int arrays.
     """
     maps = np.asarray(maps, dtype=np.float64)
+    _require_batch_shape(maps)
     if maps.min(initial=0.0) < 0.0 or maps.max(initial=0.0) > 1.0:
         raise ValueError("relaxed score maps must lie in [0,1]")
     b, _, _, c = maps.shape

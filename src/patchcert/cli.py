@@ -13,7 +13,7 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,10 +149,10 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
         if not d["cifar_dir"]:
             raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")
         try:
-            train_ds, test_ds = data.load_cifar10(d["cifar_dir"])
+            return data.load_cifar10_split(d["cifar_dir"],
+                                           "train" if split == "train" else "test")
         except ValueError as e:
             raise ConfigError(str(e))
-        return train_ds if split == "train" else test_ds
     raise ConfigError(f"unknown data source {d['source']!r}")
 
 
@@ -328,25 +328,18 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
 
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
-    regions = geometry.enumerate_regions(h_in, w_in, ph, pw)
+    try:
+        regions = geometry.enumerate_regions(h_in, w_in, ph, pw)
+    except ValueError as e:
+        raise ConfigError(str(e))
     rects = geometry.dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
     maps = model.forward_maps(params, spec, images, 128).astype(np.uint8)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
-    def run_one(i: int) -> attack_mod.AttackResult:
-        cfg = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=base.steps,
-                                      step_size=base.step_size, seed=seed + i)
-        return attack_mod.pgd_patch_attack(params, spec, images[i],
-                                           int(labels[i]), cfg)
-
-    workers = runio.worker_count()
-    indices = range(len(images))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, indices))
-    else:
-        results = [run_one(i) for i in indices]
+    results = [attack_mod.pgd_patch_attack(params, spec, images[i], int(labels[i]),
+                                           replace(base, seed=seed + i))
+               for i in range(len(images))]
 
     rows = []
     for i, res in enumerate(results):

@@ -274,16 +274,21 @@ def channel_affine(x, gamma, beta, mean: np.ndarray, var: np.ndarray, *,
     return out
 
 
-def class_sums(s, *, tape: Optional[GradTape] = None) -> Tensor:
-    """Sum a (B,H,W,C) score map over its spatial axes -> (B,C)."""
+def class_sums(s, window: Optional[Tuple[slice, slice]] = None, *,
+               tape: Optional[GradTape] = None) -> Tensor:
+    """Sum a (B,H,W,C) score map over its spatial axes -> (B,C). A `window`
+    of (rows, cols) slices sums only that rectangle."""
     s = as_tensor(s)
     if s.data.ndim != 4:
         raise ValueError(f"class_sums expects (B,H,W,C), got shape {s.shape}")
     b, h, w, c = s.shape
-    out = Tensor(s.data.sum(axis=(1, 2)))
+    rows, cols = window or (slice(None), slice(None))
+    out = Tensor(s.data[:, rows, cols].sum(axis=(1, 2)))
     if tape is not None:
         def backward(g):
-            return (np.broadcast_to(g[:, None, None, :], (b, h, w, c)).astype(g.dtype),)
+            gs = np.zeros((b, h, w, c), dtype=g.dtype)
+            gs[:, rows, cols] = g[:, None, None, :]
+            return (gs,)
 
         tape.record(out, (s,), backward)
     return out

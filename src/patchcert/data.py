@@ -81,16 +81,22 @@ def _load_batch(path: str) -> Tuple[np.ndarray, np.ndarray]:
         return decode_records(f.read())
 
 
+CIFAR_SPLIT_FILES = {"train": CIFAR_TRAIN_FILES, "test": [CIFAR_TEST_FILE]}
+
+
+def load_cifar10_split(directory, split: str) -> DatasetHandle:
+    """Load one split from the standard binary batches: "train" reads the
+    five training batches and "test" only the test batch."""
+    directory = str(directory)
+    parts = [_load_batch(os.path.join(directory, name))
+             for name in CIFAR_SPLIT_FILES[split]]
+    images, labels = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return DatasetHandle(images, labels, split, f"cifar10:{directory}")
+
+
 def load_cifar10(directory) -> Tuple[DatasetHandle, DatasetHandle]:
     """Load the six standard binary batches from a directory."""
-    directory = str(directory)
-    train_parts = [_load_batch(os.path.join(directory, name))
-                   for name in CIFAR_TRAIN_FILES]
-    train_images = np.concatenate([p[0] for p in train_parts])
-    train_labels = np.concatenate([p[1] for p in train_parts])
-    test_images, test_labels = _load_batch(os.path.join(directory, CIFAR_TEST_FILE))
-    return (DatasetHandle(train_images, train_labels, "train", f"cifar10:{directory}"),
-            DatasetHandle(test_images, test_labels, "test", f"cifar10:{directory}"))
+    return load_cifar10_split(directory, "train"), load_cifar10_split(directory, "test")
 
 
 def synth_textures(n_per_class: int, h: int, w: int, seed: int,

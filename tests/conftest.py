@@ -1,9 +1,13 @@
-"""Shared independent oracles: naive convolution, naive rectangle sums, and a
-brute-force worst-case certifier. These deliberately avoid the library's fast
-paths so every dual-route check stays honest."""
+"""Shared independent oracles: naive convolution, naive rectangle sums, a
+brute-force worst-case certifier, and the full-image PGD patch attack. These
+deliberately avoid the library's fast paths so every dual-route check stays
+honest."""
 
 import numpy as np
 import pytest
+
+from patchcert import certify, core, geometry, model
+from patchcert.attack import apply_patch, select_region_and_target
 
 
 def naive_conv2d(x, kernel, stride=1, padding=0):
@@ -64,3 +68,51 @@ def positive_chain_forward(x, kernels, strides, paddings):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def reference_pgd_patch_attack(params, spec, x, c_t, config):
+    """Full-image PGD reference: every step runs the forward and backward over
+    the whole image and sums the votes of the whole map. Returns the fields
+    of an AttackResult as a dict."""
+    x = np.asarray(x, dtype=np.float32)
+    h_in, w_in, c_in = spec.input_shape
+    _, clean_scores = model.forward(params, spec, x, "heaviside_st")
+    clean_map = clean_scores.data[0].astype(np.uint8)
+    clean_pred, _ = certify.classify(clean_map)
+    regions = geometry.enumerate_regions(h_in, w_in, config.patch_h, config.patch_w)
+    region, target = select_region_and_target(clean_map, c_t, regions, spec.layer_geom())
+    area = float(h_in * w_in)
+    patch = np.random.default_rng(config.seed).random(
+        (config.patch_h, config.patch_w, c_in), dtype=np.float32)
+    rs = slice(region.top, region.top + region.height)
+    cs = slice(region.left, region.left + region.width)
+    trace = []
+    for _ in range(config.steps):
+        adv = core.Tensor(apply_patch(x, patch, region)[None])
+        tape = core.GradTape()
+        _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape)
+        sums = core.class_sums(scores, tape=tape)
+        u = (sums.data[0, c_t] - sums.data[0, target]) / area
+        clamped = u >= config.margin
+        loss = core.Tensor(np.asarray(-(config.margin if clamped else u), dtype=sums.dtype))
+
+        def backward(g, clamped=clamped, sums=sums):
+            gs = np.zeros_like(sums.data)
+            if not clamped:
+                gs[0, c_t] = -g / area
+                gs[0, target] = g / area
+            return (gs,)
+
+        tape.record(loss, (sums,), backward)
+        trace.append(float(loss.data))
+        g = tape.gradients(loss, [adv])[id(adv)]
+        if g is None:
+            g = np.zeros_like(adv.data)
+        patch = np.clip(patch + config.step_size * np.sign(g[0, rs, cs, :]),
+                        0.0, 1.0).astype(np.float32)
+    adversarial = apply_patch(x, patch, region)
+    _, adv_scores = model.forward(params, spec, adversarial, "heaviside_st")
+    adv_pred, _ = certify.classify(adv_scores.data[0].astype(np.uint8))
+    return dict(region=region, target=target, patch=patch, adversarial=adversarial,
+                success=adv_pred != c_t, clean_pred=clean_pred, adv_pred=adv_pred,
+                loss_trace=trace, steps_used=config.steps)

@@ -1,15 +1,20 @@
+from collections import Counter
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchcert import certify
-from patchcert.attack import (AttackConfig, apply_patch, pgd_patch_attack,
-                              select_region_and_target)
+from patchcert.attack import (AttackConfig, AttackResult, apply_patch,
+                              pgd_patch_attack, select_region_and_target)
 from patchcert.certify import build_integral_image, delta_map
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_region,
                                 enumerate_regions)
 from patchcert.model import binary_scores, build_model, cifar_spec, forward
 
-from conftest import naive_rect_sum
+from conftest import naive_rect_sum, reference_pgd_patch_attack
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +188,80 @@ class TestPgdAttack:
             res = pgd_patch_attack(params, attack_spec, x, 0, config)
             assert not res.success
             assert res.adv_pred == 0
+
+
+CROP_PATCHES = [(1, 1), (3, 3), (5, 5), (2, 4)]
+
+
+def crop_model(rf: int, side: int, seed: int):
+    spec = cifar_spec(rf, input_shape=(side, side, 2), width=8, classes=3)
+    return spec, build_model(spec, seed=seed)
+
+
+def assert_matches_reference(res, ref):
+    for f in fields(AttackResult):
+        got, want = getattr(res, f.name), ref[f.name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
+def placement(region, side):
+    rows = region.top in (0, side - region.height)
+    cols = region.left in (0, side - region.width)
+    return "corner" if rows and cols else "edge" if rows or cols else "interior"
+
+
+class TestReceptiveFieldCrop:
+    """Each PGD step runs on the patch dilated by rf-1; the full-image loop
+    in conftest is the reference it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("rf", [5, 7])
+    def test_crop_votes_match_full_forward_for_every_region(self, rf, rng):
+        spec, params = crop_model(rf, 16, seed=rf)
+        layers = spec.layer_geom()
+        x = rng.random((16, 16, 2), dtype=np.float32)
+        for region in enumerate_regions(16, 16, 3, 3):
+            adv = apply_patch(x, rng.random((3, 3, 2), dtype=np.float32), region)
+            full_logits, full_scores = forward(params, spec, adv)
+            top, left = max(region.top - rf + 1, 0), max(region.left - rf + 1, 0)
+            bottom = min(region.top + 3 + rf - 1, 16)
+            right = min(region.left + 3 + rf - 1, 16)
+            crop = replace(spec, input_shape=(bottom - top, right - left, 2))
+            crop_logits, crop_scores = forward(params, crop, adv[top:bottom, left:right])
+            dep = dependency_region(region, layers, 16, 16)
+            full = (slice(dep.row_start, dep.row_stop), slice(dep.col_start, dep.col_stop))
+            inner = (slice(dep.row_start - top, dep.row_stop - top),
+                     slice(dep.col_start - left, dep.col_stop - left))
+            assert np.array_equal(crop_logits.data[0][inner], full_logits.data[0][full])
+            assert np.array_equal(crop_scores.data[0][inner], full_scores.data[0][full])
+
+    def test_matches_full_image_reference_at_every_placement(self):
+        seen = Counter()
+        for rf in (5, 7):
+            for side in (16, 20):
+                spec, params = crop_model(rf, side, seed=side)
+                for ph, pw in CROP_PATCHES:
+                    for seed in range(3):
+                        x = np.random.default_rng(100 * rf + seed).random(
+                            (side, side, 2), dtype=np.float32)
+                        config = AttackConfig(patch_h=ph, patch_w=pw, steps=3,
+                                              step_size=0.1, seed=seed)
+                        res = pgd_patch_attack(params, spec, x, seed % 3, config)
+                        ref = reference_pgd_patch_attack(params, spec, x, seed % 3, config)
+                        assert_matches_reference(res, ref)
+                        seen[placement(res.region, side)] += 1
+        assert min(seen[k] for k in ("corner", "edge", "interior")) > 0, seen
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(rf=st.sampled_from([5, 7]), side=st.integers(12, 20),
+           patch=st.sampled_from(CROP_PATCHES), label=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_full_image_reference(self, rf, side, patch, label, seed):
+        spec, params = crop_model(rf, side, seed=seed % 7)
+        x = np.random.default_rng(seed).random((side, side, 2), dtype=np.float32)
+        config = AttackConfig(patch_h=patch[0], patch_w=patch[1], steps=2,
+                              step_size=0.1, seed=seed)
+        assert_matches_reference(pgd_patch_attack(params, spec, x, label, config),
+                                 reference_pgd_patch_attack(params, spec, x, label, config))

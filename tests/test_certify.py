@@ -284,6 +284,12 @@ class TestBatchPath:
             assert regions[int(batch.limiting_index[i])] == single_s.limiting_region
             assert bool(cheap_only[0][i]) == bool(single_c.certified_cheap)
 
+    def test_relaxed_rejects_non_batch_shape(self):
+        rects = dependency_rects(enumerate_regions(4, 4, 2, 2), [LayerGeom(3)], 4, 4)
+        with pytest.raises(ValueError, match=r"\(B,h,w,C\)"):
+            certify_batch_relaxed(np.zeros((4, 4, 2)), np.zeros(4, dtype=np.int64),
+                                  rects, int(rects[4].max()))
+
     def test_relaxed_agrees_on_binary_maps(self, rng):
         layers = [LayerGeom(3)]
         regions = enumerate_regions(6, 6, 2, 2)

@@ -158,6 +158,14 @@ class TestAttackCommand:
         assert main(["attack", "--out", str(out2), "--seed", "1"] + args) == 0
         assert read_csv(out1 / "attack_detail.csv") == read_csv(out2 / "attack_detail.csv")
 
+    def test_oversized_patch_exit_1(self, trained_run, tmp_path, capsys):
+        code = main(["attack", "--out", str(tmp_path / "o"),
+                     "--set", f"attack.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", "data.eval_n_per_class=2",
+                     "--set", "attack.patch=40x40"])
+        assert code == 1
+        assert "does not fit" in capsys.readouterr().err
+
     def test_empty_split_exit_1(self, trained_run, tmp_path):
         code = main(["attack", "--out", str(tmp_path / "o"),
                      "--set", f"attack.checkpoint={trained_run}/checkpoint.pckp",
@@ -218,6 +226,23 @@ class TestEvalSplitChecks:
         assert code == 0
         detail = read_csv(out / "certify_detail_3x3.csv")
         assert [row[1] for row in detail[1:]] == [str(k) for k in range(10)]
+
+
+    def test_certify_reads_only_the_test_batch(self, tmp_path):
+        ckpt = untrained_checkpoint(tmp_path / "c.pckp", (32, 32, 3), 10)
+        cifar = tmp_path / "cifar"
+        cifar.mkdir()
+        images = np.random.default_rng(0).random((3, 32, 32, 3)).astype(np.float32)
+        (cifar / CIFAR_TEST_FILE).write_bytes(encode_records(images, np.array([0, 4, 9])))
+        out = tmp_path / "o"
+        code = main(["certify", "--out", str(out),
+                     "--set", f"certify.checkpoint={ckpt}",
+                     "--set", "data.source=cifar10",
+                     "--set", f"data.cifar_dir={cifar}",
+                     "--set", "certify.condition=2"])
+        assert code == 0
+        detail = read_csv(out / "certify_detail_3x3.csv")
+        assert [row[1] for row in detail[1:]] == ["0", "4", "9"]
 
 
 class TestBenchCommand:
