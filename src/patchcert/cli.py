@@ -137,10 +137,21 @@ def _parse_patches(text: str) -> List[Tuple[int, int]]:
     return [_parse_patch(part) for part in text.split(",") if part.strip()]
 
 
+def _regions(key: str, patch: Tuple[int, int], h: int, w: int) -> List[geometry.PatchRegion]:
+    """Every placement of the patch shape configured under `key` on an h x w input."""
+    try:
+        return geometry.enumerate_regions(h, w, *patch)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}")
+
+
 def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
     """The "train" or "eval" split of the configured data source."""
     d = config["data"]
     if d["source"] == "synth":
+        for key in ("n_per_class", "eval_n_per_class"):
+            if d[key] < 0:
+                raise ConfigError(f"data.{key} must be >= 0, got {d[key]}")
         if split == "train":
             return data.synth_textures(d["n_per_class"], d["height"], d["width"], seed)
         return data.synth_textures(d["eval_n_per_class"], d["height"], d["width"],
@@ -157,9 +168,12 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
 
 
 def _eval_split(config: Dict, seed: int, spec: model.NetworkSpec,
-                limit: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The first `limit` (0 = all) evaluation images and labels, checked
-    against the checkpoint's input shape and class count."""
+                section: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The first `<section>.limit` (0 = all) evaluation images and labels,
+    checked against the checkpoint's input shape and class count."""
+    limit = config[section]["limit"]
+    if limit < 0:
+        raise ConfigError(f"{section}.limit must be >= 0 (0 = whole split), got {limit}")
     dataset = _resolve_dataset(config, seed, "eval")
     if dataset.image_shape != tuple(spec.input_shape):
         raise ConfigError(f"dataset images {dataset.image_shape} do not match the "
@@ -194,7 +208,10 @@ def _load_checkpoint(path: str):
                           "attack.checkpoint)")
     if not os.path.isfile(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    return model.load_checkpoint(path)
+    try:
+        return model.load_checkpoint(path)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +219,8 @@ def _load_checkpoint(path: str):
 
 def cmd_train(out_dir: str, config: Dict, seed: int) -> int:
     dataset = _resolve_dataset(config, seed, "train")
+    if len(dataset) == 0:
+        raise ConfigError("training split is empty (data.n_per_class must be >= 1)")
     spec = _build_spec(config, dataset)
     t = config["train"]
     try:
@@ -214,6 +233,7 @@ def cmd_train(out_dir: str, config: Dict, seed: int) -> int:
             eval_patch=_parse_patch(t["eval_patch"]))
     except ValueError as e:
         raise ConfigError(str(e))
+    _regions("train.eval_patch", train_config.eval_patch, *dataset.image_shape[:2])
     result = train_mod.train(train_config, dataset, spec)
     runio.write_csv(os.path.join(out_dir, "metrics.csv"),
                     train_mod.MetricsLog.CSV_HEADER, result.metrics.rows())
@@ -237,7 +257,7 @@ SUMMARY_HEADER = ("patch_h", "patch_w", "condition", "n", "n_certified", "cert_a
 def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
     c = config["certify"]
     params, spec, _ = _load_checkpoint(c["checkpoint"])
-    images, labels = _eval_split(config, seed, spec, c["limit"])
+    images, labels = _eval_split(config, seed, spec, "certify")
     condition = str(c["condition"])
     if condition not in ("1", "2", "3", "all"):
         raise ConfigError(f"condition must be one of 1|2|3|all, got {condition!r}")
@@ -254,10 +274,7 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
     maps = model.forward_maps(params, spec, images, 128)
     summary_rows = []
     for ph, pw in patches:
-        try:
-            regions = geometry.enumerate_regions(h_in, w_in, ph, pw)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        regions = _regions("certify.patches", (ph, pw), h_in, w_in)
         rects = geometry.dependency_rects(regions, layers, h_in, w_in)
         rmax = int(rects[4].max())
         n = len(images)
@@ -318,7 +335,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     if spec.activation != "heaviside_st":
         raise ConfigError("the patch attack drives the straight-through head; "
                           "attack a heaviside_st checkpoint")
-    images, labels = _eval_split(config, seed, spec, a["limit"])
+    images, labels = _eval_split(config, seed, spec, "attack")
     ph, pw = _parse_patch(a["patch"])
     try:
         base = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
@@ -328,10 +345,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
 
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
-    try:
-        regions = geometry.enumerate_regions(h_in, w_in, ph, pw)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    regions = _regions("attack.patch", (ph, pw), h_in, w_in)
     rects = geometry.dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
     maps = model.forward_maps(params, spec, images, 128).astype(np.uint8)
@@ -376,12 +390,18 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     if b["blob"]:
         if not os.path.isfile(b["blob"]):
             raise ConfigError(f"score-map blob not found: {b['blob']}")
-        loaded = certify.load_score_maps(b["blob"])
+        try:
+            loaded = certify.load_score_maps(b["blob"])
+        except ValueError as e:
+            raise ConfigError(str(e))
         shapes = {m.shape for m in loaded}
         if len(shapes) != 1:
             raise ConfigError("bench blob must contain uniformly-shaped maps")
         maps = np.stack(loaded)
     else:
+        for key, least in (("n_maps", 1), ("height", 1), ("width", 1), ("classes", 2)):
+            if b[key] < least:
+                raise ConfigError(f"bench.{key} must be >= {least}, got {b[key]}")
         rng = np.random.default_rng(seed)
         maps = rng.integers(0, 2, size=(b["n_maps"], b["height"], b["width"],
                                         b["classes"]), dtype=np.uint8)
@@ -396,9 +416,7 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
 
     rows = []
 
-    def run(cond: str, patch: Tuple[int, int]):
-        ph, pw = patch
-        regions = geometry.enumerate_regions(h, w, ph, pw)
+    def run(cond: str, regions: List[geometry.PatchRegion]):
         rects = geometry.dependency_rects(regions, layers, h, w)
         rmax = int(rects[4].max())
         times = []
@@ -416,12 +434,12 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
               f"({med * 10000 / n:.4f}s per 10k maps)")
         return med
 
-    main_patch = _parse_patch(b["patch"])
-    small_patch = _parse_patch(b["small_patch"])
-    run("3.2", main_patch)
-    run("3.2", small_patch)
-    run("3.3", main_patch)
-    run("3.3", small_patch)
+    main_regions = _regions("bench.patch", _parse_patch(b["patch"]), h, w)
+    small_regions = _regions("bench.small_patch", _parse_patch(b["small_patch"]), h, w)
+    run("3.2", main_regions)
+    run("3.2", small_regions)
+    run("3.3", main_regions)
+    run("3.3", small_regions)
     runio.write_csv(os.path.join(out_dir, "bench.csv"), BENCH_HEADER, rows)
     return 0
 

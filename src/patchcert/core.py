@@ -45,8 +45,8 @@ class Tensor:
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x) -> Optional[Tensor]:
+    return x if x is None or isinstance(x, Tensor) else Tensor(x)
 
 
 class GradTape:
@@ -113,15 +113,19 @@ def _col2im(gcols: np.ndarray, padded_shape: Tuple[int, ...], stride: int) -> np
 
 
 def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
+           norm: Optional[tuple] = None, skip=None, relu: bool = False,
+           momentum: Optional[float] = None, eps: float = 1e-5,
            tape: Optional[GradTape] = None) -> Tensor:
-    """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel.
+    """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel
+    (output size floor((in + 2*padding - k)/stride) + 1 per axis), then optionally
+    a norm, a residual add of `skip` and a ReLU in place, under one tape record.
 
-    Output spatial size is floor((in + 2*padding - k)/stride) + 1 per axis.
+    `norm` = (gamma, beta, mean, var) maps z to ((z - mean)*inv)*gamma + beta,
+    inv = 1/sqrt(var + eps), as `channel_affine` does; mean/var are constants
+    for the gradient. With `momentum`, z's batch statistics then move the
+    mean/var arrays in place, after the forward and backward took their values.
     """
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
-    if bias is not None:
-        bias = as_tensor(bias)
+    x, kernel, bias, skip = map(as_tensor, (x, kernel, bias, skip))
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be (B,H,W,C), got shape {x.shape}")
     if kernel.data.ndim != 4:
@@ -135,49 +139,67 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
             f"kernel shape {kernel.shape} expects {ci}")
     if stride < 1 or padding < 0:
         raise ValueError(f"invalid stride/padding ({stride}, {padding})")
-
-    one_by_one = kh == 1 and stride == 1 and padding == 0
-    if one_by_one:
-        xp = x.data
-        cols = None
-    else:
-        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-        cols = _im2col(xp, kh, kw, stride)
-
-    kmat = kernel.data.reshape(kh * kw * ci, co)
-    if one_by_one:
-        flat = x.data.reshape(-1, ci)
-    else:
-        flat = cols.reshape(-1, kh * kw * ci)
-    out_flat = flat @ kmat
+    if bias is not None and norm is not None:
+        raise ValueError("conv2d takes a bias or a norm, not both")
     b = x.shape[0]
     ho = (x.shape[1] + 2 * padding - kh) // stride + 1
     wo = (x.shape[2] + 2 * padding - kw) // stride + 1
-    out_data = out_flat.reshape(b, ho, wo, co)
+    if skip is not None and skip.shape != (b, ho, wo, co):
+        raise ValueError(f"skip shape {skip.shape} does not match the output {(b, ho, wo, co)}")
+
+    direct = kh == 1 and stride == 1  # the (padded) input already is the column matrix
+    xp = np.pad(x.data, ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0))) if padding else x.data
+    flat = (xp if direct else _im2col(xp, kh, kw, stride)).reshape(-1, kh * kw * ci)
+    xp_shape = xp.shape  # the backward keeps the shape, not the padded copy
+    kmat = kernel.data.reshape(kh * kw * ci, co)
+    z = flat @ kmat
     if bias is not None:
-        out_data = out_data + bias.data
-    out = Tensor(out_data)
+        z = z + bias.data
+    if norm is not None:
+        gamma, beta, running_mean, running_var = *map(as_tensor, norm[:2]), *norm[2:]
+        mean, inv = np.array(running_mean), 1.0 / np.sqrt(running_var + eps)
+        z = z.astype(np.result_type(z, mean, inv, gamma.data, beta.data), copy=False)
+        z -= mean
+        if momentum is not None:
+            # Shifted sum and sum of squares of d = z - mean, in float64: E[d]^2
+            # cancels out of E[d^2] when the running mean is far from the batch's.
+            d64 = z.astype(np.float64)
+            shift = np.ones(len(z)) @ d64 / len(z)
+            batch_var = np.maximum(np.einsum("ij,ij->j", d64, d64) / len(z) - shift * shift, 0)
+            running_mean += momentum * shift
+            running_var += momentum * (batch_var - running_var)
+        z *= inv
+        z *= gamma.data
+        z += beta.data
+    if skip is not None:
+        z += skip.data.reshape(-1, co)
+    if relu:
+        np.maximum(z, 0, out=z)
+    out = Tensor(z.reshape(b, ho, wo, co))
 
     if tape is not None:
-        padded_shape = xp.shape
-        inputs = (x, kernel) if bias is None else (x, kernel, bias)
+        inputs = [x, kernel] + ([bias] if bias is not None else []) \
+            + ([gamma, beta] if norm is not None else []) + ([skip] if skip is not None else [])
 
         def backward(g: np.ndarray):
+            if relu:
+                g = g * (out.data > 0)
             g_flat = g.reshape(-1, co)
-            g_kernel = (flat.T @ g_flat).reshape(kernel.shape)
-            g_cols_flat = g_flat @ kmat.T
-            if one_by_one:
-                g_x = g_cols_flat.reshape(x.shape)
-            else:
-                g_cols = g_cols_flat.reshape(b, ho, wo, kh, kw, ci)
-                g_xp = _col2im(g_cols, padded_shape, stride)
-                if padding:
-                    g_x = g_xp[:, padding:-padding, padding:-padding, :]
-                else:
-                    g_x = g_xp
-            if bias is None:
-                return g_x, g_kernel
-            return g_x, g_kernel, g.sum(axis=(0, 1, 2))
+            g_kernel = flat.T @ g_flat
+            k_eff = kmat
+            extra = [] if bias is None else [g.sum(axis=(0, 1, 2))]
+            if norm is not None:
+                # z -> a*z + const, a = gamma*inv, folds into the matmuls: sum(g*z) =
+                # sum(K * cols^T g); in float32 gamma's term loses digits when z ~ mean.
+                a = gamma.data * inv
+                g_sum = np.einsum("ij->j", g_flat)
+                extra = [inv * ((kmat * g_kernel).sum(axis=0) - mean * g_sum), g_sum]
+                g_kernel = g_kernel * a
+                k_eff = kmat * a
+            g_cols = (g_flat @ k_eff.T).reshape(b, ho, wo, kh, kw, ci)
+            g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
+            g_x = g_xp[:, padding:padding + x.shape[1], padding:padding + x.shape[2]]
+            return [g_x, g_kernel.reshape(kernel.shape)] + extra + [g] * (skip is not None)
 
         tape.record(out, inputs, backward)
     return out
@@ -239,9 +261,8 @@ def activation(x, mode: str, *, tape: Optional[GradTape] = None) -> Tensor:
 
 
 def add(a, b, *, tape: Optional[GradTape] = None) -> Tensor:
-    """Elementwise sum of two same-shape tensors (residual skip)."""
-    a = as_tensor(a)
-    b = as_tensor(b)
+    """Elementwise sum of two same-shape tensors."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
@@ -256,10 +277,9 @@ def channel_affine(x, gamma, beta, mean: np.ndarray, var: np.ndarray, *,
 
     mean/var are plain arrays treated as constants (running statistics), so the
     transform is affine in x and gradients never flow through the statistics.
+    `conv2d(..., norm=...)` fuses the same map; this unfused op is its reference.
     """
-    x = as_tensor(x)
-    gamma = as_tensor(gamma)
-    beta = as_tensor(beta)
+    x, gamma, beta = map(as_tensor, (x, gamma, beta))
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data)

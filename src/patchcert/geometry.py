@@ -112,6 +112,8 @@ def receptive_field(layers: Sequence[LayerGeom], h_in: int, w_in: int) -> RFInfo
 
 def enumerate_regions(h_in: int, w_in: int, h_p: int, w_p: int) -> List[PatchRegion]:
     """All fully-contained h_p x w_p placements, row-major by (top, left)."""
+    if h_p < 1 or w_p < 1:
+        raise ValueError(f"patch {h_p}x{w_p} must be at least 1x1")
     if h_p > h_in or w_p > w_in:
         raise ValueError(f"patch {h_p}x{w_p} does not fit inside a {h_in}x{w_in} input")
     return [PatchRegion(top=t, left=l, height=h_p, width=w_p)

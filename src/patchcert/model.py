@@ -168,35 +168,13 @@ def build_model(spec: NetworkSpec, seed: int) -> Parameters:
     return Parameters(tensors=tensors, trainable=tuple(trainable))
 
 
-def _norm_layer(params: Parameters, name: str, x: Tensor, tape, training: bool) -> Tensor:
-    t = params.tensors
-    mean = t[name + ".running_mean"].data
-    var = t[name + ".running_var"].data
-    if training:
-        # Normalize with the pre-update running statistics (constants for the
-        # gradient), then fold the batch statistics into the running estimate.
-        # Using only running statistics in the forward keeps every output a
-        # function of its receptive field alone, which certification needs.
-        axes = tuple(range(x.data.ndim - 1))
-        batch_mean = x.data.mean(axis=axes)
-        batch_var = x.data.var(axis=axes)
-        out = core.channel_affine(x, t[name + ".gamma"], t[name + ".beta"],
-                                  mean.copy(), var.copy(), eps=NORM_EPS, tape=tape)
-        mean += NORM_MOMENTUM * (batch_mean.astype(mean.dtype) - mean)
-        var += NORM_MOMENTUM * (batch_var.astype(var.dtype) - var)
-        return out
-    return core.channel_affine(x, t[name + ".gamma"], t[name + ".beta"],
-                               mean, var, eps=NORM_EPS, tape=tape)
-
-
 def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None,
             *, tape: Optional[GradTape] = None,
             training: bool = False) -> Tuple[Tensor, Tensor]:
     """One pass: returns (logit map, score map). The score map is binary for
     the heaviside_st head and lies in [0,1] for the relaxed heads."""
     mode = mode or spec.activation
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x))
+    x = core.as_tensor(x)
     data = x.data
     if data.ndim == 3:
         x = Tensor(data[None], name=x.name)
@@ -210,19 +188,22 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         raise ValueError("input pixels must lie in [0,1]")
 
     t = params.tensors
-    h = core.conv2d(x, t["stem.kernel"], stride=1,
-                    padding=spec.stem_kernel // 2, tape=tape)
-    h = _norm_layer(params, "stem.norm", h, tape, training)
-    h = core.activation(h, "relu", tape=tape)
+
+    def conv_norm_relu(inp: Tensor, conv: str, norm: str, k: int, skip=None) -> Tensor:
+        # The norm uses the pre-update running statistics even in training, so
+        # every output stays a function of its receptive field alone, as
+        # certification needs; training then moves them toward the batch's.
+        stats = (t[norm + ".gamma"], t[norm + ".beta"], t[norm + ".running_mean"].data,
+                 t[norm + ".running_var"].data)
+        return core.conv2d(inp, t[conv + ".kernel"], padding=k // 2, norm=stats, skip=skip,
+                           relu=True, momentum=NORM_MOMENTUM if training else None,
+                           eps=NORM_EPS, tape=tape)
+
+    h = conv_norm_relu(x, "stem", "stem.norm", spec.stem_kernel)
     for i, k in enumerate(spec.block_kernels):
-        y = core.conv2d(h, t[f"block{i}.conv1.kernel"], stride=1, padding=k // 2, tape=tape)
-        y = _norm_layer(params, f"block{i}.norm1", y, tape, training)
-        y = core.activation(y, "relu", tape=tape)
-        y = core.conv2d(y, t[f"block{i}.conv2.kernel"], stride=1, padding=0, tape=tape)
-        y = _norm_layer(params, f"block{i}.norm2", y, tape, training)
-        h = core.activation(core.add(h, y, tape=tape), "relu", tape=tape)
-    logits = core.conv2d(h, t["head.kernel"], t["head.bias"], stride=1,
-                         padding=0, tape=tape)
+        y = conv_norm_relu(h, f"block{i}.conv1", f"block{i}.norm1", k)
+        h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1, skip=h)
+    logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape)
     scores = core.activation(logits, mode, tape=tape)
     return logits, scores
 
@@ -299,9 +280,8 @@ def load_checkpoint(path) -> Tuple[Parameters, NetworkSpec, int]:
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     meta = json.loads(bytes(take(meta_len, "metadata")))
     spec_dict = dict(meta["spec"])
-    spec_dict["input_shape"] = tuple(spec_dict["input_shape"])
-    spec_dict["block_kernels"] = tuple(spec_dict["block_kernels"])
-    spec_dict["block_strides"] = tuple(spec_dict["block_strides"])
+    for key in ("input_shape", "block_kernels", "block_strides"):
+        spec_dict[key] = tuple(spec_dict[key])
     spec = NetworkSpec(**spec_dict)
     (n_arrays,) = struct.unpack("<I", take(4, "array count"))
     tensors: Dict[str, Tensor] = {}

@@ -65,9 +65,56 @@ def positive_chain_forward(x, kernels, strides, paddings):
     return h
 
 
+def central_differences(f, arr, h=1e-6):
+    """Central finite differences of the scalar f() in every entry of `arr`,
+    which is perturbed in place and restored."""
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = f()
+        flat[i] = orig - h
+        down = f()
+        flat[i] = orig
+        out[i] = (up - down) / (2 * h)
+    return out.reshape(arr.shape)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def reference_forward(params, spec, x, mode=None, *, tape=None, training=False):
+    """Unfused scorer forward: every conv, running-statistics norm, residual
+    add and ReLU is its own taped op, and training moves the running
+    statistics toward the batch's np.mean/np.var. `model.forward` fuses each
+    conv -> norm (-> add) -> ReLU into one op and must match this."""
+    t = params.tensors
+
+    def norm_relu(z, name, skip=None):
+        mean = t[name + ".running_mean"].data
+        var = t[name + ".running_var"].data
+        batch_mean, batch_var = z.data.mean(axis=(0, 1, 2)), z.data.var(axis=(0, 1, 2))
+        y = core.channel_affine(z, t[name + ".gamma"], t[name + ".beta"], mean.copy(),
+                                var.copy(), eps=model.NORM_EPS, tape=tape)
+        if training:
+            mean += model.NORM_MOMENTUM * (batch_mean.astype(mean.dtype) - mean)
+            var += model.NORM_MOMENTUM * (batch_var.astype(var.dtype) - var)
+        if skip is not None:
+            y = core.add(skip, y, tape=tape)
+        return core.activation(y, "relu", tape=tape)
+
+    h = core.conv2d(x, t["stem.kernel"], padding=spec.stem_kernel // 2, tape=tape)
+    h = norm_relu(h, "stem.norm")
+    for i, k in enumerate(spec.block_kernels):
+        y = core.conv2d(h, t[f"block{i}.conv1.kernel"], padding=k // 2, tape=tape)
+        y = norm_relu(y, f"block{i}.norm1")
+        y = core.conv2d(y, t[f"block{i}.conv2.kernel"], tape=tape)
+        h = norm_relu(y, f"block{i}.norm2", skip=h)
+    logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape)
+    return logits, core.activation(logits, mode or spec.activation, tape=tape)
 
 
 def reference_pgd_patch_attack(params, spec, x, c_t, config):

@@ -92,6 +92,49 @@ class TestTrainCommand:
                      "--set", "train.margin=0"] + QUICK_TRAIN)
         assert code == 1
 
+    @pytest.mark.parametrize("patch", ["20x20", "0x3"])
+    def test_bad_eval_patch_exit_1(self, tmp_path, capsys, patch):
+        code = main(["train", "--out", str(tmp_path / "o"),
+                     "--set", f"train.eval_patch={patch}"] + QUICK_TRAIN)
+        assert code == 1
+        assert "train.eval_patch" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_training_set_exit_1(self, tmp_path, capsys, n):
+        code = main(["train", "--out", str(tmp_path / "o"), "--set", f"data.n_per_class={n}"])
+        assert code == 1
+        assert "data.n_per_class" in capsys.readouterr().err
+
+
+def damaged_checkpoints(trained_run, tmp_path):
+    """A truncated copy of a good checkpoint and a file of garbage, with the
+    message each must produce."""
+    blob = (trained_run / "checkpoint.pckp").read_bytes()
+    truncated = tmp_path / "truncated.pckp"
+    truncated.write_bytes(blob[:len(blob) // 2])
+    garbage = tmp_path / "garbage.pckp"
+    garbage.write_bytes(b"not a checkpoint at all")
+    return [(truncated, "truncated checkpoint"), (garbage, "bad checkpoint magic")]
+
+
+@pytest.mark.parametrize("cmd", ["certify", "attack"])
+class TestRejectedInputs:
+    def test_damaged_checkpoint_exit_1(self, trained_run, tmp_path, capsys, cmd):
+        for path, message in damaged_checkpoints(trained_run, tmp_path):
+            code = main([cmd, "--out", str(tmp_path / "o"),
+                         "--set", f"{cmd}.checkpoint={path}"])
+            assert code == 1
+            assert message in capsys.readouterr().err
+
+    def test_negative_limit_exit_1(self, trained_run, tmp_path, capsys, cmd):
+        out = tmp_path / "o"
+        code = main([cmd, "--out", str(out), "--set", f"{cmd}.limit=-5",
+                     "--set", f"{cmd}.checkpoint={trained_run}/checkpoint.pckp"])
+        assert code == 1
+        assert f"{cmd}.limit" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
 
 class TestCertifyCommand:
     def test_summary_and_detail_schema(self, trained_run, tmp_path):
@@ -250,6 +293,31 @@ class TestBenchCommand:
         code = main(["bench", "--out", str(tmp_path / "o"),
                      "--set", "bench.repetitions=0"])
         assert code == 1
+
+    def test_zero_maps_exit_1(self, tmp_path, capsys):
+        code = main(["bench", "--out", str(tmp_path / "o"), "--set", "bench.n_maps=0"])
+        assert code == 1
+        assert "bench.n_maps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["patch", "small_patch"])
+    def test_oversized_patch_exit_1(self, tmp_path, capsys, key):
+        code = main(["bench", "--out", str(tmp_path / "o"), "--set", "bench.n_maps=4",
+                     "--set", f"bench.{key}=40x40"])
+        assert code == 1
+        assert f"bench.{key}" in capsys.readouterr().err
+
+    def test_damaged_blob_exit_1(self, tmp_path, capsys, rng):
+        good = tmp_path / "good.pcsm"
+        certify.save_score_maps(good, rng.integers(0, 2, size=(2, 8, 8, 3), dtype=np.uint8))
+        truncated = tmp_path / "truncated.pcsm"
+        truncated.write_bytes(good.read_bytes()[:-5])
+        garbage = tmp_path / "garbage.pcsm"
+        garbage.write_bytes(b"garbage")
+        for blob, message in ((truncated, "truncated score map"),
+                              (garbage, "bad score-map magic")):
+            code = main(["bench", "--out", str(tmp_path / "o"), "--set", f"bench.blob={blob}"])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_unknown_rf_exit_1(self, tmp_path, capsys):
         code = main(["bench", "--out", str(tmp_path / "o"), "--set", "bench.rf=6"])

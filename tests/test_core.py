@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from patchcert import core
 from patchcert.core import AdamState, GradTape, Tensor, adam_step
 
-from conftest import naive_conv2d
+from conftest import central_differences, naive_conv2d
 
 
 class TestConv2d:
@@ -222,24 +224,61 @@ class TestTapeComposition:
         g = tape.gradients(total, [x])[id(x)]
         assert np.allclose(g, 2.0)
 
-    def test_channel_affine_backward(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 3, 4)))
-        gamma = Tensor(rng.standard_normal(4))
-        beta = Tensor(rng.standard_normal(4))
-        mean = rng.standard_normal(4)
-        var = rng.random(4) + 0.5
-        tape = GradTape()
-        out = core.channel_affine(x, gamma, beta, mean, var, tape=tape)
-        weights = rng.standard_normal(out.data.shape)
-        total = Tensor(np.asarray((out.data * weights).sum()))
-        tape.record(total, (out,), lambda g: (g * weights,))
-        grads = tape.gradients(total, [x, gamma, beta])
-        inv = 1.0 / np.sqrt(var + 1e-5)
-        np.testing.assert_allclose(grads[id(x)], weights * gamma.data * inv, rtol=1e-10)
-        xhat = (x.data - mean) * inv
-        np.testing.assert_allclose(grads[id(gamma)], (weights * xhat).sum(axis=(0, 1, 2)),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(grads[id(beta)], weights.sum(axis=(0, 1, 2)), rtol=1e-10)
+    def test_fused_conv_backward(self):
+        """The folded backward of conv -> norm -> + skip (-> ReLU) matches
+        central finite differences in float64 on every input, and so does the
+        unfused chain of conv2d, channel_affine, add and activation."""
+        for k, relu in itertools.product((3, 1), (True, False)):
+            rng = np.random.default_rng(10 * k + relu)
+            x = Tensor(rng.standard_normal((2, 4, 4, 3)))
+            kernel = Tensor(rng.standard_normal((k, k, 3, 4)))
+            gamma = Tensor(rng.standard_normal(4))
+            beta = Tensor(rng.standard_normal(4))
+            skip = Tensor(rng.standard_normal((2, 4, 4, 4)))
+            mean = rng.standard_normal(4)
+            var = rng.random(4) + 0.5
+            weights = rng.standard_normal((2, 4, 4, 4))
+            inputs = (x, kernel, gamma, beta, skip)
+
+            def fused(tape=None):
+                return core.conv2d(x, kernel, padding=k // 2, norm=(gamma, beta, mean, var),
+                                   skip=skip, relu=relu, tape=tape)
+
+            def unfused(tape=None):
+                y = core.conv2d(x, kernel, padding=k // 2, tape=tape)
+                y = core.channel_affine(y, gamma, beta, mean, var, tape=tape)
+                y = core.add(y, skip, tape=tape)
+                return core.activation(y, "relu", tape=tape) if relu else y
+
+            # ReLU is not differentiable at 0: FD steps of 1e-6 must not cross it
+            pre = core.conv2d(x, kernel, padding=k // 2, norm=(gamma, beta, mean, var),
+                              skip=skip)
+            assert np.abs(pre.data).min() > 1e-4
+            for op in (fused, unfused):
+                tape = GradTape()
+                out = op(tape)
+                total = Tensor(np.asarray((out.data * weights).sum()))
+                tape.record(total, (out,), lambda g: (g * weights,))
+                grads = tape.gradients(total, inputs)
+                for t in inputs:
+                    fd = central_differences(lambda: float((op().data * weights).sum()), t.data)
+                    np.testing.assert_allclose(grads[id(t)], fd, rtol=1e-6, atol=1e-8,
+                                               err_msg=f"{op.__name__} k={k} relu={relu}")
+
+    def test_batch_statistics_far_from_running_mean(self, rng):
+        """The one-pass batch statistics stay accurate when the running mean is
+        far from the batch's, where E[d]^2 nearly cancels E[d^2], and a
+        constant channel's variance (-3e-17 before the clamp) is exactly 0."""
+        x = 300.0 + rng.random((4, 6, 6, 2), dtype=np.float32)
+        x[..., 1] = 0.1
+        kernel = np.eye(2, dtype=np.float32).reshape(1, 1, 2, 2)
+        z = core.conv2d(x, kernel).data.astype(np.float64)
+        mean, var = np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.float32)
+        norm = (np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.float32), mean, var)
+        core.conv2d(x, kernel, norm=norm, momentum=1.0)
+        np.testing.assert_allclose(mean, z.mean(axis=(0, 1, 2)), rtol=1e-6)
+        np.testing.assert_allclose(var[0], z[..., 0].var(), rtol=1e-5)
+        assert var[1] == 0.0
 
     def test_class_sums(self, rng):
         s = Tensor(rng.random((2, 3, 4, 5)))

@@ -54,6 +54,8 @@ class TestEnumerateRegions:
     def test_oversized_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
             enumerate_regions(8, 8, 9, 2)
+        with pytest.raises(ValueError, match="at least 1x1"):
+            enumerate_regions(8, 8, 0, 3)
 
 
 class TestDependencyRegion:
