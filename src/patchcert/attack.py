@@ -3,6 +3,7 @@ outside vote margin, then run sign-gradient PGD on the patch pixels."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
@@ -26,8 +27,9 @@ class AttackConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("attack needs at least one step")
-        if self.step_size <= 0.0:
-            raise ValueError("step size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValueError(
+                f"attack.step_size must be finite and > 0, got {self.step_size}")
         if self.patch_h < 1 or self.patch_w < 1:
             raise ValueError("patch must be at least 1x1")
 
@@ -68,7 +70,7 @@ def select_region_and_target(s: np.ndarray, c_t: int,
                              layers: Sequence[LayerGeom]) -> Tuple[PatchRegion, int]:
     """argmin over feasible regions and rival classes of the delta votes
     outside the dependency rectangle; ties break by region order, then class
-    index. Computed for all pairs at once from the outside class sums."""
+    index. Computed for all pairs at once from the (C, L) outside class sums."""
     s = certify.validate_score_map(s)
     if len(regions) == 0:
         raise ValueError("region set must be non-empty")
@@ -76,12 +78,18 @@ def select_region_and_target(s: np.ndarray, c_t: int,
     if c < 2:
         raise ValueError("need at least 2 classes to pick a target")
     certify.validate_labels([c_t], 1, c)
-    rects = dependency_rects(regions, layers, h, w)
-    _, outside = certify.outside_sums(s, rects, np.int32)  # (L, C)
-    gaps = outside[:, [c_t]].astype(np.int64) - outside
-    gaps[:, c_t] = np.iinfo(np.int64).max
-    flat = int(gaps.argmin())  # row-major: region order first, then class
-    return regions[flat // c], flat % c
+    outside = _outside_sums(s, dependency_rects(regions, layers, h, w))
+    gaps = outside[[c_t]].astype(np.int64) - outside
+    gaps[c_t] = np.iinfo(np.int64).max
+    lim = int(gaps.min(axis=0).argmin())  # the first region holding the minimum,
+    return regions[lim], int(gaps[:, lim].argmin())  # then its first class
+
+
+def _outside_sums(s: np.ndarray, rects: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """(C, L) class sums of one binary (h, w, C) map outside each rectangle."""
+    h, w, _ = s.shape
+    factors = certify.interval_factors(rects, h, w, certify.exact_sum_dtype(h, w))
+    return certify.outside_sums(s[None], factors)[1][0]
 
 
 def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
@@ -112,8 +120,8 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     h_out, w_out, _ = spec.output_shape()
     area = float(h_out * w_out)
     rects = dependency_rects([region], layers, h_in, w_in)
-    _, outside = certify.outside_sums(clean_map, rects, np.int32)
-    fixed = Tensor(outside.astype(np.float32))  # (1, C) votes the patch cannot move
+    # (1, C) votes the patch cannot move
+    fixed = Tensor(_outside_sums(clean_map, rects).T.astype(np.float32))
 
     reach = geometry.receptive_field(layers, h_in, w_in).rf_h - 1
     top, left = max(region.top - reach, 0), max(region.left - reach, 0)

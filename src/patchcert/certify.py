@@ -1,8 +1,11 @@
 """Certification of score maps against patch attacks.
 
 Three checks of decreasing cost: a generic worst-case sweep for any monotone
-aggregator, a per-region sum check driven by summed-area tables, and a single
-global-margin comparison. All certificate arithmetic is integer-exact.
+aggregator, a per-region sum check, and a single global-margin comparison.
+The per-region check gets the class sums inside every dependency rectangle
+from two interval-matrix products, rows . S . cols^T, since each rectangle
+set is separable into row and column intervals. All certificate arithmetic on
+binary maps is integer-exact.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _flip_against(s: np.ndarray, c_t: int, idx: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# summed-area kernel shared by every sum-condition path
+# interval-product kernel shared by every sum-condition path
 
 def validate_labels(labels, b: int, c: int) -> np.ndarray:
     """Check labels are a (b,) integer array with every entry in [0, c)."""
@@ -99,8 +102,9 @@ def validate_labels(labels, b: int, c: int) -> np.ndarray:
 def build_integral_image(x: np.ndarray, dtype=np.int32) -> np.ndarray:
     """Per-class summed-area table of (..., h, w, c) values; entry
     [..., i, j, :] holds the sum over the half-open rectangle [0,i) x [0,j).
-    Shape (..., h+1, w+1, c). `dtype` must hold every sum exactly: int16 or
-    int32 for binary maps, float64 for relaxed maps."""
+    Shape (..., h+1, w+1, c). `dtype` must hold every sum exactly. An
+    independent reference for the interval-product kernel; no certification
+    path uses it."""
     x = np.asarray(x)
     *lead, h, w, c = x.shape
     table = np.zeros((*lead, h + 1, w + 1, c), dtype=dtype)
@@ -116,27 +120,91 @@ def region_sum(table: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
             - table[..., r1, c0, :] + table[..., r0, c0, :])
 
 
-def outside_sums(maps: np.ndarray, rects: Tuple[np.ndarray, ...],
-                 dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """Class sums of (..., h, w, c) maps outside each dependency rectangle
-    (from geometry.dependency_rects). Returns (total, outside) of shapes
-    (..., c) and (..., L, c); the table is built in `dtype` and the
-    differences are taken in at least int32."""
+def exact_sum_dtype(h: int, w: int):
+    """Float dtype in which every partial sum of 0/1 products over an (h, w)
+    grid is an exact integer: float32 holds every integer up to 2**24,
+    float64 every integer up to 2**53."""
+    return np.float32 if h * w <= 2 ** 24 else np.float64
+
+
+@dataclass(frozen=True)
+class IntervalFactors:
+    """A rectangle set over an (h, w) grid in separable form.
+
+    `rows` (P+1, h) and `cols_t` (w, Q+1) hold 0/1 indicators of the P
+    distinct row intervals and the Q distinct column intervals, each followed
+    by the full interval. Rectangle l is entry `index[l]` of the flattened
+    (P+1, Q+1) product grid; `index` is None when the rectangles are exactly
+    the row-major P x Q grid, as for every region set of enumerate_regions.
+    """
+
+    rows: np.ndarray
+    cols_t: np.ndarray
+    index: Optional[np.ndarray]
+
+
+def interval_factors(rects: Tuple[np.ndarray, ...], h: int, w: int,
+                     dtype) -> IntervalFactors:
+    """Separable form of dependency rectangles (from geometry.dependency_rects)
+    on an (h, w) score-map grid, with indicators in `dtype`."""
     r0, r1, c0, c1, _ = rects
-    table = build_integral_image(maps, dtype)
-    total = table[..., -1, -1, :].astype(np.promote_types(dtype, np.int32))
-    return total, total[..., None, :] - region_sum(table, r0, r1, c0, c1)
+    rows, p = np.unique(np.stack([r0, r1], axis=1), axis=0, return_inverse=True)
+    cols, q = np.unique(np.stack([c0, c1], axis=1), axis=0, return_inverse=True)
+    p, q, n_q = p.reshape(-1), q.reshape(-1), len(cols)
+    grid = len(r0) == len(rows) * n_q and np.array_equal(p * n_q + q, np.arange(len(r0)))
+    return IntervalFactors(rows=_indicators(rows, h, dtype),
+                           cols_t=np.ascontiguousarray(_indicators(cols, w, dtype).T),
+                           index=None if grid else p * (n_q + 1) + q)
+
+
+def _indicators(intervals: np.ndarray, size: int, dtype) -> np.ndarray:
+    """(K+1, size) 0/1 rows for K half-open [lo, hi) intervals, then [0, size)."""
+    bounds = np.vstack([intervals.reshape(-1, 2), [[0, size]]])
+    at = np.arange(size)
+    return ((at >= bounds[:, :1]) & (at < bounds[:, 1:])).astype(dtype)
+
+
+def outside_sums(maps: np.ndarray,
+                 factors: IntervalFactors) -> Tuple[np.ndarray, np.ndarray]:
+    """Class sums of (n, h, w, c) maps in total and outside each rectangle of
+    `factors`, as (total, outside) of shapes (n, c) and (n, c, L).
+
+    The inside sums of every rectangle and class are the entries of
+    rows . S_c . cols_t: one GEMM contracts the columns of all (map, class,
+    row) lines, then one stacked product contracts the rows. The full
+    intervals put each class total in the last entry.
+
+    Exactness: for 0/1 maps every partial sum of either product, in whatever
+    order BLAS adds, is a non-negative integer of at most h*w, so it is exact
+    in the exact_sum_dtype of the grid. Integer maps come back as int32 before
+    any subtraction, so no float comparison decides a binary certificate.
+    Float (relaxed) maps keep float sums.
+    """
+    n, h, w, c = maps.shape
+    p1, q1 = len(factors.rows), factors.cols_t.shape[1]
+    x = np.empty((n, c, h, w), dtype=factors.rows.dtype)
+    x[...] = maps.transpose(0, 3, 1, 2)
+    prod = np.matmul(factors.rows, (x.reshape(n * c * h, w) @ factors.cols_t)
+                     .reshape(n, c, h, q1))
+    if maps.dtype.kind != "f":
+        prod = prod.astype(np.int32)
+    total = prod[..., -1, -1]
+    if factors.index is None:
+        inside = prod[..., :-1, :-1].reshape(n, c, (p1 - 1) * (q1 - 1))
+    else:
+        inside = prod.reshape(n, c, p1 * q1).take(factors.index, axis=-1)
+    return total, total[..., None] - inside
 
 
 def _split_rival(outside: np.ndarray, labels: np.ndarray):
-    """(n, L, C) outside sums -> (true-class sum, strongest rival sum), each
-    (n, L). Overwrites the true-class entries of `outside`."""
+    """(n, C, L) outside sums -> (true-class sum, strongest rival sum), each
+    (n, L). Overwrites the true-class rows of `outside`."""
     rows = np.arange(len(labels))
-    out_true = outside[rows, :, labels]
+    out_true = outside[rows, labels]
     # for integers half the range, so that true minus it stays representable
-    outside[rows, :, labels] = (-np.inf if outside.dtype.kind == "f"
-                                else np.iinfo(outside.dtype).min // 2)
-    return out_true, outside.max(axis=2)
+    outside[rows, labels] = (-np.inf if outside.dtype.kind == "f"
+                             else np.iinfo(outside.dtype).min // 2)
+    return out_true, outside.max(axis=1)
 
 
 def _global_gap(sums: np.ndarray, labels: np.ndarray):
@@ -150,12 +218,12 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     return pred, tied, gap.min(axis=1)
 
 
-# Maps per chunk for certify_batch and certify_batch_relaxed. At 8 maps the
-# (chunk, L, C) temporaries of 32x32x10 maps at |L|=784 take 250-500 KB, so
-# they stay in a core's L2 cache and are reused from the heap without page
-# faults; 256-map chunks (8-16 MB temporaries) ran slower and spread wider
-# from run to run on a shared 2-vCPU Xeon VM.
-MAP_CHUNK = 8
+# Maps per chunk for certify_batch and certify_batch_relaxed. The per-chunk
+# temporaries of 32x32x10 maps at |L|=784 take about 1 MB each at 32 maps.
+# On a shared 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps
+# ran within run-to-run spread of each other, while chunks of 8 maps ran about
+# 10% slower and of 2 maps about 45% slower, from per-call overhead.
+MAP_CHUNK = 32
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
@@ -357,19 +425,18 @@ def certify_batch(maps: np.ndarray, labels: np.ndarray,
     """Certify (B,h,w,C) binary maps against precomputed dependency rectangles
     (from geometry.dependency_rects). Integer-exact throughout.
 
-    Works on per-class score integral images: the delta sum outside R(l) for
-    rival c equals (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score
-    sums, so no delta map is materialized.
+    Works on per-class score sums: the delta sum outside R(l) for rival c
+    equals (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score sums, so
+    no delta map is materialized.
     """
     maps = _validate_batch_maps(maps)
     b, h, w, c = maps.shape
     labels = validate_labels(labels, b, c)
     area = rects[4]
-    # score sums are bounded by h*w, so int16 tables suffice on typical grids
-    table_dtype = np.int16 if h * w <= np.iinfo(np.int16).max else np.int32
+    factors = interval_factors(rects, h, w, exact_sum_dtype(h, w))
 
     def run(y, s):
-        total, outside = outside_sums(s, rects, table_dtype)
+        total, outside = outside_sums(s, factors)
         out_true, rival = _split_rival(outside, y)
         worst = out_true - rival - area                      # (n, L)
         lim = worst.argmin(axis=1)
@@ -410,12 +477,13 @@ def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
     _require_batch_shape(maps)
     if maps.min(initial=0.0) < 0.0 or maps.max(initial=0.0) > 1.0:
         raise ValueError("relaxed score maps must lie in [0,1]")
-    b, _, _, c = maps.shape
+    b, h, w, c = maps.shape
     labels = validate_labels(labels, b, c)
     area = rects[4]
+    factors = interval_factors(rects, h, w, np.float64)
 
     def run(y, s):
-        total, outside = outside_sums(s, rects, np.float64)
+        total, outside = outside_sums(s, factors)
         out_true, rival = _split_rival(outside, y)
         pred, tied, gap = _global_gap(total, y)
         clean = (pred == y) & ~tied

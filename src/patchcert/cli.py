@@ -152,10 +152,16 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
         for key in ("n_per_class", "eval_n_per_class"):
             if d[key] < 0:
                 raise ConfigError(f"data.{key} must be >= 0, got {d[key]}")
-        if split == "train":
-            return data.synth_textures(d["n_per_class"], d["height"], d["width"], seed)
-        return data.synth_textures(d["eval_n_per_class"], d["height"], d["width"],
-                                   seed + d["eval_seed_offset"], split="eval")
+        n, data_seed, what = d["n_per_class"], seed, "--seed"
+        if split != "train":
+            n, data_seed = d["eval_n_per_class"], seed + d["eval_seed_offset"]
+            what = "data.eval_seed_offset: seed + offset"
+        if data_seed < 0:
+            raise ConfigError(f"{what} must be >= 0, got {data_seed}")
+        try:
+            return data.synth_textures(n, d["height"], d["width"], data_seed, split=split)
+        except ValueError as e:
+            raise ConfigError(f"data.height/data.width: {e}")
     if d["source"] == "cifar10":
         if not d["cifar_dir"]:
             raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")

@@ -159,17 +159,36 @@ def dependency_region(region: PatchRegion, layers: Sequence[LayerGeom],
 def dependency_rects(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],
                      h_in: int, w_in: int):
     """Vectorized dependency rectangles for a region set: arrays
-    (r0, r1, c0, c1, area), half-open, aligned with `regions`."""
-    n = len(regions)
-    r0 = np.empty(n, dtype=np.int64)
-    r1 = np.empty(n, dtype=np.int64)
-    c0 = np.empty(n, dtype=np.int64)
-    c1 = np.empty(n, dtype=np.int64)
-    for i, region in enumerate(regions):
-        dep = dependency_region(region, layers, h_in, w_in)
-        r0[i], r1[i], c0[i], c1[i] = dep.row_start, dep.row_stop, dep.col_start, dep.col_stop
+    (r0, r1, c0, c1, area), half-open, aligned with `regions`. Rows depend
+    only on (top, height) and columns only on (left, width), so each distinct
+    interval is propagated once and the results are broadcast."""
+    boxes = np.array([(r.top, r.height, r.left, r.width) for r in regions],
+                     dtype=np.int64).reshape(-1, 4)
+    outside = ((boxes[:, 0] + boxes[:, 1] > h_in) | (boxes[:, 2] + boxes[:, 3] > w_in))
+    if outside.any():
+        validate_region(regions[int(outside.argmax())], h_in, w_in)
+    r0, r1 = _propagate_intervals(boxes[:, 0], boxes[:, 1], h_in, layers)
+    c0, c1 = _propagate_intervals(boxes[:, 2], boxes[:, 3], w_in, layers)
+    empty = (r0 == r1) | (c0 == c1)
+    r0, r1, c0, c1 = (np.where(empty, 0, v) for v in (r0, r1, c0, c1))
     area = (r1 - r0) * (c1 - c0)
     return r0, r1, c0, c1, area
+
+
+def _propagate_intervals(starts: np.ndarray, lengths: np.ndarray, size: int,
+                         layers: Sequence[LayerGeom]) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-open output intervals [lo, hi) of the input intervals
+    [start, start + length), propagating each distinct interval once; an
+    empty result is (0, 0)."""
+    pairs, inverse = np.unique(np.stack([starts, lengths], axis=1), axis=0,
+                               return_inverse=True)
+    out = np.zeros((len(pairs), 2), dtype=np.int64)
+    for i, (start, length) in enumerate(pairs.tolist()):
+        lo, hi, _ = _propagate_interval(start, start + length - 1, size, layers)
+        if lo <= hi:
+            out[i] = lo, hi + 1
+    out = out[inverse.reshape(-1)]
+    return out[:, 0], out[:, 1]
 
 
 def r_max(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],

@@ -7,7 +7,7 @@ import io
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -279,10 +279,7 @@ def load_checkpoint(path) -> Tuple[Parameters, NetworkSpec, int]:
             f"version {CHECKPOINT_VERSION})")
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     meta = json.loads(bytes(take(meta_len, "metadata")))
-    spec_dict = dict(meta["spec"])
-    for key in ("input_shape", "block_kernels", "block_strides"):
-        spec_dict[key] = tuple(spec_dict[key])
-    spec = NetworkSpec(**spec_dict)
+    spec = _spec_from_metadata(meta)
     (n_arrays,) = struct.unpack("<I", take(4, "array count"))
     tensors: Dict[str, Tensor] = {}
     for _ in range(n_arrays):
@@ -296,4 +293,47 @@ def load_checkpoint(path) -> Tuple[Parameters, NetworkSpec, int]:
         tensors[name] = Tensor(data, name=name)
     if pos != len(view):
         raise ValueError(f"checkpoint has {len(view) - pos} trailing bytes")
-    return Parameters(tensors=tensors, trainable=tuple(meta["trainable"])), spec, step
+    params = Parameters(tensors=tensors, trainable=tuple(meta["trainable"]))
+    _check_tensors(params, build_model(spec, 0))
+    return params, spec, step
+
+
+def _spec_from_metadata(meta) -> NetworkSpec:
+    """The NetworkSpec of checkpoint metadata, which must hold `spec` with
+    every NetworkSpec field and a `trainable` list of names."""
+    if not isinstance(meta, dict) or not isinstance(meta.get("spec"), dict):
+        raise ValueError("checkpoint metadata has no spec")
+    if not isinstance(meta.get("trainable"), list):
+        raise ValueError("checkpoint metadata has no trainable list")
+    spec_dict = dict(meta["spec"])
+    names = sorted(f.name for f in fields(NetworkSpec))
+    if sorted(spec_dict) != names:
+        raise ValueError(f"checkpoint spec fields {sorted(spec_dict)} do not match "
+                         f"NetworkSpec's {names}")
+    try:
+        for key in ("input_shape", "block_kernels", "block_strides"):
+            spec_dict[key] = tuple(spec_dict[key])
+        return NetworkSpec(**spec_dict)
+    except TypeError as e:
+        raise ValueError(f"checkpoint spec is malformed: {e}")
+
+
+def _check_tensors(params: Parameters, expected: Parameters) -> None:
+    """Every array of the spec's model is present with its shape, no other
+    array is, every value is finite, and every trainable name is an array."""
+    tensors = params.tensors
+    missing = sorted(set(expected.tensors) - set(tensors))
+    extra = sorted(set(tensors) - set(expected.tensors))
+    if missing or extra:
+        raise ValueError(f"checkpoint arrays do not match its spec: missing {missing}, "
+                         f"unexpected {extra}")
+    for name, want in expected.tensors.items():
+        got = tensors[name].data
+        if got.shape != want.shape:
+            raise ValueError(f"checkpoint array {name!r} has shape {got.shape}, "
+                             f"its spec needs {want.shape}")
+        if not np.isfinite(got).all():
+            raise ValueError(f"checkpoint array {name!r} holds non-finite values")
+    unknown = sorted(set(params.trainable) - set(tensors))
+    if unknown:
+        raise ValueError(f"checkpoint marks unknown arrays {unknown} trainable")

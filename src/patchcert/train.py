@@ -33,6 +33,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.margin <= 1.0:
             raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"train.lr must be finite and > 0, got {self.lr}")
         if self.one_hot_weight < 0.0:
             raise ValueError("one-hot weight must be non-negative")
         if self.batch_size < 1 or self.epochs < 1:

@@ -479,3 +479,66 @@ class TestCertifyAll:
             if res.certified_sum and not res.certified_cheap:
                 witness_32_not_33 += 1
         assert witness_32_not_33 > 0
+
+
+class TestIntervalProducts:
+    """The two-product kernel on region lists that are not the row-major
+    grid of enumerate_regions, where each rectangle is looked up in the
+    product grid by index, and its exact-dtype choice."""
+
+    LAYERS = [LayerGeom(3), LayerGeom(1, stride=2), LayerGeom(3)]
+    H_IN, W_IN = 12, 11
+
+    def case(self, rng):
+        info = receptive_field(self.LAYERS, self.H_IN, self.W_IN)
+        labels = rng.integers(0, 3, size=24)
+        maps = np.stack([random_map(rng, info.h_out, info.w_out, 3,
+                                    p_true=rng.uniform(0.5, 1.0),
+                                    p_other=rng.uniform(0.0, 0.3), c_t=int(y))
+                         for y in labels])
+        return enumerate_regions(self.H_IN, self.W_IN, 3, 2), maps, labels
+
+    @pytest.mark.parametrize("pick", ["shuffled", "subset"])
+    def test_reordered_regions_match_brute_force(self, rng, pick):
+        regions, maps, labels = self.case(rng)
+        order = rng.permutation(len(regions))
+        if pick == "subset":
+            order = np.sort(order[:len(order) // 3])
+        chosen = [regions[i] for i in order]
+        rects = dependency_rects(chosen, self.LAYERS, self.H_IN, self.W_IN)
+        h_out, w_out = maps.shape[1:3]
+        assert certify.interval_factors(rects, h_out, w_out, np.float32).index is not None
+        batch = certify_batch(maps, labels, rects, int(rects[4].max()), chunk=5)
+
+        deps = [dependency_region(r, self.LAYERS, self.H_IN, self.W_IN) for r in chosen]
+        masks = [d.as_mask(h_out, w_out) for d in deps]
+        for s, y, cert, margin, lim in zip(maps, labels, batch.certified_sum,
+                                           batch.margin_sum, batch.limiting_index):
+            y = int(y)
+            delta = s[:, :, y:y + 1].astype(np.int64) - s
+            total = delta.sum(axis=(0, 1))
+            worst = []
+            for d in deps:
+                outside = total - naive_rect_sum(delta, d.row_start, d.row_stop,
+                                                 d.col_start, d.col_stop)
+                worst.append(min(int(outside[k]) for k in range(3) if k != y) - d.size)
+            assert bool(cert) == brute_force_certified(s, y, masks)
+            assert (int(margin), int(lim)) == (min(worst), worst.index(min(worst)))
+
+    def test_row_major_grid_needs_no_index(self, rng):
+        regions = enumerate_regions(self.H_IN, self.W_IN, 3, 2)
+        rects = dependency_rects(regions, [LayerGeom(3)], self.H_IN, self.W_IN)
+        factors = certify.interval_factors(rects, self.H_IN, self.W_IN, np.float32)
+        assert factors.index is None
+        s = rng.integers(0, 2, size=(self.H_IN, self.W_IN, 3)).astype(np.uint8)
+        total, outside = certify.outside_sums(s[None], factors)
+        assert total.dtype == outside.dtype == np.int32
+        assert np.array_equal(total[0], s.sum(axis=(0, 1)))
+        for l, box in enumerate(zip(*(a.tolist() for a in rects[:4]))):
+            assert np.array_equal(outside[0, :, l], total[0] - naive_rect_sum(s, *box))
+
+    def test_exact_dtype_switches_at_two_to_the_24(self):
+        assert certify.exact_sum_dtype(2 ** 12, 2 ** 12) == np.float32
+        assert certify.exact_sum_dtype(1, 2 ** 24) == np.float32
+        assert certify.exact_sum_dtype(1, 2 ** 24 + 1) == np.float64
+        assert certify.exact_sum_dtype(2 ** 12 + 1, 2 ** 12) == np.float64

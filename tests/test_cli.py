@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import patchcert
 from patchcert import certify, model
 from patchcert.cli import ConfigError, main, resolve_config
+from patchcert.core import Tensor
 from patchcert.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, encode_records
 
 
@@ -134,6 +136,105 @@ class TestRejectedInputs:
         assert code == 1
         assert f"{cmd}.limit" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def edited_checkpoint(src, dst, edit_tensors=None, edit_meta=None):
+    """Copy of the checkpoint at `src` with its named arrays and metadata
+    passed through the given edits, re-encoded in the checkpoint format."""
+    params, spec, step = model.load_checkpoint(src)
+    tensors = {n: t.data.copy() for n, t in params.tensors.items()}
+    if edit_tensors:
+        edit_tensors(tensors)
+    model.save_checkpoint(model.Parameters({n: Tensor(v) for n, v in tensors.items()},
+                                           params.trainable), spec, dst, step=step)
+    if edit_meta:
+        blob = dst.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 16)
+        meta = edit_meta(json.loads(blob[20:20 + meta_len]))
+        encoded = json.dumps(meta).encode()
+        dst.write_bytes(blob[:16] + struct.pack("<I", len(encoded)) + encoded
+                        + blob[20 + meta_len:])
+    return dst
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _nan_at(name, index):
+    def edit(d):
+        d[name][index] = np.nan
+    return edit
+
+
+class TestCheckpointContents:
+    """A checkpoint whose arrays or metadata do not describe its model exits
+    1 with a message naming the problem, before any certificate is computed."""
+
+    CASES = {
+        "missing_tensor": (dict(edit_tensors=lambda d: d.pop("block3.conv1.kernel")),
+                           "block3.conv1.kernel"),
+        "one_class_head": (dict(edit_tensors=lambda d: d.update(
+            {"head.kernel": d["head.kernel"][..., :1]})), "'head.kernel' has shape"),
+        "nan_running_var": (dict(edit_tensors=_nan_at("stem.norm.running_var", 0)),
+                            "'stem.norm.running_var' holds non-finite"),
+        "no_spec": (dict(edit_meta=_drop("spec")), "no spec"),
+        "no_trainable": (dict(edit_meta=_drop("trainable")), "no trainable"),
+        "spec_field_missing": (dict(edit_meta=lambda m: {**m, "spec": _drop("width")(m["spec"])}),
+                               "do not match NetworkSpec"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_certify_exit_1(self, trained_run, tmp_path, capsys, case):
+        edits, message = self.CASES[case]
+        path = edited_checkpoint(trained_run / "checkpoint.pckp", tmp_path / "c.pckp",
+                                 **edits)
+        out = tmp_path / "o"
+        code = main(["certify", "--out", str(out), "--set", f"certify.checkpoint={path}",
+                     "--set", "certify.condition=2"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_unedited_copy_loads(self, trained_run, tmp_path):
+        path = edited_checkpoint(trained_run / "checkpoint.pckp", tmp_path / "c.pckp")
+        assert path.read_bytes() == (trained_run / "checkpoint.pckp").read_bytes()
+
+
+class TestConfigValues:
+    """Config values that would crash or silently misbehave exit 1 and name
+    the key."""
+
+    @pytest.mark.parametrize("setting, key", [
+        ("data.height=4", "data.height"), ("data.width=0", "data.width"),
+        ("train.lr=nan", "train.lr"), ("train.lr=inf", "train.lr"),
+        ("train.lr=0", "train.lr"), ("train.lr=-1", "train.lr")])
+    def test_train_exit_1(self, tmp_path, capsys, setting, key):
+        out = tmp_path / "o"
+        code = main(["train", "--out", str(out), "--set", setting] + QUICK_TRAIN)
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_attack_step_size_exit_1(self, trained_run, tmp_path, capsys, value):
+        code = main(["attack", "--out", str(tmp_path / "o"),
+                     "--set", f"attack.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", f"attack.step_size={value}", "--set", "attack.limit=1"])
+        assert code == 1
+        assert "attack.step_size" in capsys.readouterr().err
+
+    def test_eval_seed_offset_exit_1(self, trained_run, tmp_path, capsys):
+        code = main(["certify", "--out", str(tmp_path / "o"), "--seed", "3",
+                     "--set", f"certify.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", "data.eval_seed_offset=-4"])
+        assert code == 1
+        assert "data.eval_seed_offset" in capsys.readouterr().err
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        code = main(["train", "--out", str(tmp_path / "o"), "--seed", "-1"] + QUICK_TRAIN)
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestCertifyCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
                                 dependency_region, enumerate_regions, r_max,
@@ -201,3 +203,29 @@ class TestValidation:
             LayerGeom(kernel=3, stride=3)
         with pytest.raises(ValueError):
             LayerGeom(kernel=3, padding=0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.builds(LayerGeom, st.sampled_from([1, 3]), st.sampled_from([1, 1, 2])),
+                min_size=1, max_size=5),
+       st.integers(1, 20), st.integers(1, 20), st.data())
+def test_dependency_rects_match_dependency_region(layers, h_in, w_in, draw):
+    """The vectorized rectangles equal the per-region propagation, region by
+    region, on full, shuffled and partial region lists."""
+    ph, pw = draw.draw(st.integers(1, h_in)), draw.draw(st.integers(1, w_in))
+    regions = enumerate_regions(h_in, w_in, ph, pw)
+    regions = draw.draw(st.permutations(regions) | st.just(regions))
+    regions = regions[:draw.draw(st.integers(1, len(regions)))]
+    r0, r1, c0, c1, area = dependency_rects(regions, layers, h_in, w_in)
+    assert all(a.dtype == np.int64 and a.shape == (len(regions),)
+               for a in (r0, r1, c0, c1, area))
+    for i, region in enumerate(regions):
+        dep = dependency_region(region, layers, h_in, w_in)
+        assert (r0[i], r1[i], c0[i], c1[i], area[i]) == (
+            dep.row_start, dep.row_stop, dep.col_start, dep.col_stop, dep.size)
+
+
+def test_dependency_rects_reject_out_of_bounds_region():
+    with pytest.raises(ValueError, match="exceeds the 8x8 input"):
+        dependency_rects([PatchRegion(0, 0, 2, 2), PatchRegion(7, 0, 2, 2)],
+                         stack(3), 8, 8)
