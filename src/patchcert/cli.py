@@ -152,12 +152,12 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
         for key in ("n_per_class", "eval_n_per_class"):
             if d[key] < 0:
                 raise ConfigError(f"data.{key} must be >= 0, got {d[key]}")
-        n, data_seed, what = d["n_per_class"], seed, "--seed"
+        n, data_seed = d["n_per_class"], seed
         if split != "train":
             n, data_seed = d["eval_n_per_class"], seed + d["eval_seed_offset"]
-            what = "data.eval_seed_offset: seed + offset"
-        if data_seed < 0:
-            raise ConfigError(f"{what} must be >= 0, got {data_seed}")
+            if data_seed < 0:
+                raise ConfigError("data.eval_seed_offset: seed + offset must be "
+                                  f">= 0, got {data_seed}")
         try:
             return data.synth_textures(n, d["height"], d["width"], data_seed, split=split)
         except ValueError as e:
@@ -475,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = resolve_config(args.config, args.set)
         os.makedirs(args.out, exist_ok=True)
         runio.write_manifest(args.out, args.cmd, config, args.seed)

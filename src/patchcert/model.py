@@ -128,36 +128,25 @@ class Parameters:
             trainable=self.trainable)
 
 
-def build_model(spec: NetworkSpec, seed: int) -> Parameters:
-    """Deterministic fan-in-scaled uniform initialization from the seed."""
+def parameter_shapes(spec: NetworkSpec) -> Dict[str, Tuple[int, ...]]:
+    """Name and shape of every array of the spec's model, in build order."""
     if any(s != 1 for s in spec.block_strides):
         raise ValueError(
             f"spec {spec.name!r} uses strided blocks; identity-skip models are "
             "stride-1 only (strided variants are declared for geometry only)")
-    rng = np.random.default_rng(seed)
-    h_in, w_in, c_in = spec.input_shape
-    tensors: Dict[str, Tensor] = {}
-    trainable: List[str] = []
+    shapes: Dict[str, Tuple[int, ...]] = {}
 
     def conv(name: str, k: int, ci: int, co: int, bias: bool = False):
-        bound = 1.0 / np.sqrt(k * k * ci)
-        kern = rng.uniform(-bound, bound, size=(k, k, ci, co)).astype(np.float32)
-        tensors[name + ".kernel"] = Tensor(kern, name=name + ".kernel")
-        trainable.append(name + ".kernel")
+        shapes[name + ".kernel"] = (k, k, ci, co)
         if bias:
-            tensors[name + ".bias"] = Tensor(np.zeros(co, dtype=np.float32),
-                                             name=name + ".bias")
-            trainable.append(name + ".bias")
+            shapes[name + ".bias"] = (co,)
 
     def norm(name: str, c: int):
-        tensors[name + ".gamma"] = Tensor(np.ones(c, dtype=np.float32), name=name + ".gamma")
-        tensors[name + ".beta"] = Tensor(np.zeros(c, dtype=np.float32), name=name + ".beta")
-        trainable.extend([name + ".gamma", name + ".beta"])
-        tensors[name + ".running_mean"] = Tensor(np.zeros(c, dtype=np.float32))
-        tensors[name + ".running_var"] = Tensor(np.ones(c, dtype=np.float32))
+        for part in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"{name}.{part}"] = (c,)
 
     w = spec.width
-    conv("stem", spec.stem_kernel, c_in, w)
+    conv("stem", spec.stem_kernel, spec.input_shape[2], w)
     norm("stem.norm", w)
     for i, k in enumerate(spec.block_kernels):
         conv(f"block{i}.conv1", k, w, w)
@@ -165,6 +154,29 @@ def build_model(spec: NetworkSpec, seed: int) -> Parameters:
         conv(f"block{i}.conv2", 1, w, w)
         norm(f"block{i}.norm2", w)
     conv("head", 1, w, spec.classes, bias=True)
+    return shapes
+
+
+def build_model(spec: NetworkSpec, seed: int) -> Parameters:
+    """Deterministic fan-in-scaled uniform initialization from the seed:
+    kernels uniform, gamma and running variances 1, the rest 0. Running
+    statistics are model state, not trainable."""
+    rng = np.random.default_rng(seed)
+    tensors: Dict[str, Tensor] = {}
+    trainable: List[str] = []
+    for name, shape in parameter_shapes(spec).items():
+        part = name.rsplit(".", 1)[1]
+        if part == "kernel":
+            bound = 1.0 / np.sqrt(shape[0] * shape[1] * shape[2])
+            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            fill = np.ones if part in ("gamma", "running_var") else np.zeros
+            data = fill(shape, dtype=np.float32)
+        if part.startswith("running_"):
+            tensors[name] = Tensor(data)
+        else:
+            tensors[name] = Tensor(data, name=name)
+            trainable.append(name)
     return Parameters(tensors=tensors, trainable=tuple(trainable))
 
 
@@ -294,7 +306,7 @@ def load_checkpoint(path) -> Tuple[Parameters, NetworkSpec, int]:
     if pos != len(view):
         raise ValueError(f"checkpoint has {len(view) - pos} trailing bytes")
     params = Parameters(tensors=tensors, trainable=tuple(meta["trainable"]))
-    _check_tensors(params, build_model(spec, 0))
+    _check_tensors(params, parameter_shapes(spec))
     return params, spec, step
 
 
@@ -318,20 +330,21 @@ def _spec_from_metadata(meta) -> NetworkSpec:
         raise ValueError(f"checkpoint spec is malformed: {e}")
 
 
-def _check_tensors(params: Parameters, expected: Parameters) -> None:
-    """Every array of the spec's model is present with its shape, no other
-    array is, every value is finite, and every trainable name is an array."""
+def _check_tensors(params: Parameters, expected: Dict[str, Tuple[int, ...]]) -> None:
+    """Every array of the spec's model (name -> shape) is present with its
+    shape, no other array is, every value is finite, and every trainable name
+    is an array."""
     tensors = params.tensors
-    missing = sorted(set(expected.tensors) - set(tensors))
-    extra = sorted(set(tensors) - set(expected.tensors))
+    missing = sorted(set(expected) - set(tensors))
+    extra = sorted(set(tensors) - set(expected))
     if missing or extra:
         raise ValueError(f"checkpoint arrays do not match its spec: missing {missing}, "
                          f"unexpected {extra}")
-    for name, want in expected.tensors.items():
+    for name, want in expected.items():
         got = tensors[name].data
-        if got.shape != want.shape:
+        if got.shape != want:
             raise ValueError(f"checkpoint array {name!r} has shape {got.shape}, "
-                             f"its spec needs {want.shape}")
+                             f"its spec needs {want}")
         if not np.isfinite(got).all():
             raise ValueError(f"checkpoint array {name!r} holds non-finite values")
     unknown = sorted(set(params.trainable) - set(tensors))

@@ -182,6 +182,8 @@ class TestCheckpointContents:
         "no_trainable": (dict(edit_meta=_drop("trainable")), "no trainable"),
         "spec_field_missing": (dict(edit_meta=lambda m: {**m, "spec": _drop("width")(m["spec"])}),
                                "do not match NetworkSpec"),
+        "oversized_width": (dict(edit_meta=lambda m: {**m, "spec": {**m["spec"], "width": 10 ** 9}}),
+                            "'stem.kernel' has shape"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -231,8 +233,9 @@ class TestConfigValues:
         assert code == 1
         assert "data.eval_seed_offset" in capsys.readouterr().err
 
-    def test_negative_seed_exit_1(self, tmp_path, capsys):
-        code = main(["train", "--out", str(tmp_path / "o"), "--seed", "-1"] + QUICK_TRAIN)
+    @pytest.mark.parametrize("cmd", ["train", "certify", "attack", "bench"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, cmd):
+        code = main([cmd, "--out", str(tmp_path / "o"), "--seed", "-1"])
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
