@@ -93,10 +93,12 @@ def _outside_sums(s: np.ndarray, rects: Tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
-                     c_t: int, config: AttackConfig) -> AttackResult:
+                     clean_map: np.ndarray, c_t: int,
+                     config: AttackConfig) -> AttackResult:
     """Fixed-region, fixed-target PGD: ascend the margin-loss objective with
     respect to the patch pixels only, stepping by sign(grad) and clipping to
     [0,1]. Gradients reach the patch through the straight-through head.
+    `clean_map` is the binary score map of x under the same model.
 
     The patch changes only the votes inside its dependency region R(l), and
     those read only the input within rf-1 pixels of the patch. So each step
@@ -105,19 +107,18 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
     rf//2 pixels or more inside an interior crop edge, so it sees exactly
     what it sees in the full image."""
     x = np.asarray(x, dtype=np.float32)
+    clean_map = certify.validate_score_map(clean_map)
     h_in, w_in, c_in = spec.input_shape
-    if x.shape != (h_in, w_in, c_in):
-        raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-
-    _, clean_scores = model.forward(params, spec, x, "heaviside_st")
-    clean_map = model.binary_scores(Tensor(clean_scores.data[0]))
+    h_out, w_out, _ = spec.output_shape()
+    if x.shape != (h_in, w_in, c_in) or clean_map.shape != (h_out, w_out, spec.classes):
+        raise ValueError(f"input {x.shape} and clean map {clean_map.shape} do not match "
+                         f"spec {spec.input_shape} -> {(h_out, w_out, spec.classes)}")
     clean_pred, _ = certify.classify(clean_map)
 
     regions = geometry.enumerate_regions(h_in, w_in, config.patch_h, config.patch_w)
     layers = spec.layer_geom()
     region, target = select_region_and_target(clean_map, c_t, regions, layers)
 
-    h_out, w_out, _ = spec.output_shape()
     area = float(h_out * w_out)
     rects = dependency_rects([region], layers, h_in, w_in)
     # (1, C) votes the patch cannot move
@@ -158,7 +159,7 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, x: np.ndarray,
 
     adversarial = apply_patch(x, patch, region)
     _, adv_scores = model.forward(params, spec, adversarial, "heaviside_st")
-    adv_pred, _ = certify.classify(model.binary_scores(Tensor(adv_scores.data[0])))
+    adv_pred, _ = certify.classify(adv_scores.data[0])
     return AttackResult(region=region, target=target, patch=patch,
                         adversarial=adversarial, success=adv_pred != c_t,
                         clean_pred=clean_pred, adv_pred=adv_pred,

@@ -5,7 +5,8 @@ aggregator, a per-region sum check, and a single global-margin comparison.
 The per-region check gets the class sums inside every dependency rectangle
 from two interval-matrix products, rows . S . cols^T, since each rectangle
 set is separable into row and column intervals. All certificate arithmetic on
-binary maps is integer-exact.
+binary maps is integer-exact. One check admits binary maps, single or batched;
+one chunk body decides for binary and relaxed maps alike.
 """
 
 from __future__ import annotations
@@ -22,19 +23,18 @@ from .geometry import (DependencyRegion, LayerGeom, PatchRegion,
 SCORE_MAP_MAGIC = b"PCSM"
 
 
-def validate_score_map(s: np.ndarray) -> np.ndarray:
-    """Check a (h,w,c) array is a binary score map; returns it as uint8."""
+def validate_score_map(s: np.ndarray, ndim: int = 3) -> np.ndarray:
+    """Check an array is a binary score map, (h,w,C) for ndim 3 or a
+    (B,h,w,C) batch for ndim 4; returns it as uint8."""
     s = np.asarray(s)
-    if s.ndim != 3:
-        raise ValueError(f"score map must be (h_out, w_out, c_out), got shape {s.shape}")
-    if s.dtype != np.uint8:
-        cast = s.astype(np.uint8)
-        if not np.array_equal(cast.astype(s.dtype), s):
-            raise ValueError("score map entries must be 0 or 1")
-        s = cast
-    if s.max(initial=0) > 1:
-        raise ValueError("score map entries must be 0 or 1")
-    return s
+    if s.ndim != ndim:
+        raise ValueError(f"expected {'(B,h,w,C)' if ndim == 4 else '(h,w,C)'} score "
+                         f"maps, got shape {s.shape}")
+    cast = s.astype(np.uint8, copy=False)
+    if cast.max(initial=0) > 1 or (s.dtype != np.uint8 and not np.array_equal(cast, s)):
+        raise ValueError("score map entries must be 0 or 1; certify scores in "
+                         "[0,1] with the relaxed path")
+    return cast
 
 
 def classify(s: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -49,8 +49,7 @@ def classify(s: np.ndarray) -> Tuple[int, np.ndarray]:
 
 
 def is_tied(sums: np.ndarray) -> bool:
-    top = sums.max()
-    return int((sums == top).sum()) > 1
+    return int((sums == sums.max()).sum()) > 1
 
 
 def delta_map(s: np.ndarray, c_t: int) -> np.ndarray:
@@ -210,7 +209,9 @@ def _split_rival(outside: np.ndarray, labels: np.ndarray):
 
 def _global_gap(sums: np.ndarray, labels: np.ndarray):
     """(predicted, tied, true-class sum minus the strongest rival) for each
-    row of (n, C) class sums. Ties break to the lowest class index."""
+    row of (n, C) class sums, integer sums widened to int64. Ties break to
+    the lowest class index."""
+    sums = sums.astype(np.promote_types(sums.dtype, np.int64), copy=False)
     rows = np.arange(len(labels))
     pred = sums.argmax(axis=1)
     tied = (sums == sums.max(axis=1)[:, None]).sum(axis=1) > 1
@@ -219,12 +220,13 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     return pred, tied, gap.min(axis=1)
 
 
-# Maps per chunk for certify_batch and certify_batch_relaxed. The per-chunk
-# temporaries of 32x32x10 maps at |L|=784 take about 1 MB each at 32 maps.
-# On a shared 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps
-# ran within run-to-run spread of each other, while chunks of 8 maps ran about
-# 10% slower and of 2 maps about 45% slower, from per-call overhead.
+# Maps per chunk of the batch paths, read at each call. At 32 maps the chunk
+# temporaries of 32x32x10 maps at |L|=784 take about 1 MB each. On a shared
+# 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps ran within
+# run-to-run spread of each other, chunks of 8 maps about 10% slower and of 2
+# maps about 45% slower, from per-call overhead.
 MAP_CHUNK = 32
+CHEAP_CHUNK = 1024  # certify_batch_cheap only sums each map
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
@@ -254,10 +256,6 @@ class CertificationResult:
     limiting_region: Optional[PatchRegion] = None
 
 
-def _clean_ok(pred: int, tied: bool, c_t: int) -> bool:
-    return pred == c_t and not tied
-
-
 def certify_sum(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                 layers: Sequence[LayerGeom]) -> CertificationResult:
     """Per-region check for the sum aggregator: for every feasible region the
@@ -277,15 +275,12 @@ def certify_sum(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
 
 def certify_cheap(s: np.ndarray, c_t: int, r_max: int) -> CertificationResult:
     """Constant-time check: the global delta sum of every rival class must
-    exceed twice the largest dependency-region cardinality."""
-    s = validate_score_map(s)
-    labels = validate_labels([c_t], 1, s.shape[2])
-    pred, tied, gap = _global_gap(s.sum(axis=(0, 1), dtype=np.int64)[None], labels)
-    pred, tied, margin = int(pred[0]), bool(tied[0]), int(gap[0] - 2 * r_max)
-    return CertificationResult(
-        predicted=pred, tied=tied,
-        certified_cheap=bool(margin > 0 and _clean_ok(pred, tied, c_t)),
-        margin=margin, limiting_region=None)
+    exceed twice the largest dependency-region cardinality. The single-map
+    case of certify_batch_cheap."""
+    (cert,), (margin,), (pred,), (tied,) = _global_margin(
+        validate_score_map(s)[None], [c_t], r_max)
+    return CertificationResult(predicted=int(pred), tied=bool(tied),
+                               certified_cheap=bool(cert), margin=int(margin))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +301,13 @@ def _sum_aggregator(s: np.ndarray) -> np.ndarray:
 G_SUM = AggregatorSpec(name="sum", fn=_sum_aggregator)
 
 
-def register_aggregator(name: str, fn: Callable[[np.ndarray], np.ndarray], *,
-                        probe_trials: int = 64, seed: int = 0) -> AggregatorSpec:
-    """Register an aggregator after a randomized monotonicity probe: for score
-    maps with s1 >= s2 elementwise, g(s1)_c >= g(s2)_c must hold per class."""
-    rng = np.random.default_rng(seed)
-    for _ in range(probe_trials):
+def register_aggregator(name: str,
+                        fn: Callable[[np.ndarray], np.ndarray]) -> AggregatorSpec:
+    """Register an aggregator after a monotonicity probe on 64 random pairs
+    of score maps from a fixed seed: for s1 >= s2 elementwise, g(s1)_c >=
+    g(s2)_c must hold per class."""
+    rng = np.random.default_rng(0)
+    for _ in range(64):
         h, w, c = rng.integers(2, 7), rng.integers(2, 7), rng.integers(2, 5)
         s2 = rng.integers(0, 2, size=(h, w, c)).astype(np.uint8)
         s1 = np.maximum(s2, rng.integers(0, 2, size=(h, w, c)).astype(np.uint8))
@@ -351,9 +347,8 @@ def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
     boolean mask), set its cells maximally against c_t and take the smallest
     gap g_{c_t} - g_c over rivals. Returns (result, index of the limiting
     set); ties keep the first."""
-    validate_labels([c_t], 1, s.shape[2])
-    pred, sums = classify(s)
-    tied = is_tied(sums)
+    labels = validate_labels([c_t], 1, s.shape[2])
+    (pred,), (tied,), _ = _global_gap(s.sum(axis=(0, 1), dtype=np.int64)[None], labels)
     worst = limiting = None
     for i, idx in enumerate(index_sets):
         scores = np.asarray(g.fn(_flip_against(s, c_t, idx)), dtype=np.int64)
@@ -365,8 +360,8 @@ def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
     if worst is None:
         raise ValueError("region set must be non-empty")
     return CertificationResult(
-        predicted=pred, tied=tied,
-        certified_generic=bool(worst > 0 and _clean_ok(pred, tied, c_t)),
+        predicted=int(pred), tied=bool(tied),
+        certified_generic=bool(worst > 0 and pred == c_t and not tied),
         margin=worst, limiting_region=None), limiting
 
 
@@ -375,37 +370,14 @@ def certify_all(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                 g: AggregatorSpec = G_SUM) -> CertificationResult:
     """Evaluate all three conditions; margin/limiting region come from the
     per-region sum check."""
-    res_sum = certify_sum(s, c_t, regions, layers)
-    res_cheap = certify_cheap(s, c_t, r_max)
-    res_gen = certify_generic(s, c_t, regions, layers, g)
-    return CertificationResult(
-        predicted=res_sum.predicted, tied=res_sum.tied,
-        certified_generic=res_gen.certified_generic,
-        certified_sum=res_sum.certified_sum,
-        certified_cheap=res_cheap.certified_cheap,
-        margin=res_sum.margin, limiting_region=res_sum.limiting_region)
+    return replace(
+        certify_sum(s, c_t, regions, layers),
+        certified_generic=certify_generic(s, c_t, regions, layers, g).certified_generic,
+        certified_cheap=certify_cheap(s, c_t, r_max).certified_cheap)
 
 
 # ---------------------------------------------------------------------------
 # batch fast path
-
-def _require_batch_shape(maps: np.ndarray) -> None:
-    if maps.ndim != 4:
-        raise ValueError(f"expected (B,h,w,C) maps, got shape {maps.shape}")
-
-
-def _validate_batch_maps(maps: np.ndarray) -> np.ndarray:
-    maps = np.asarray(maps)
-    _require_batch_shape(maps)
-    if maps.dtype != np.uint8:
-        cast = maps.astype(np.uint8)
-        if not np.array_equal(cast.astype(maps.dtype), maps):
-            raise ValueError("batch score maps must be binary; use the relaxed path")
-        maps = cast
-    if maps.size and maps.max() > 1:
-        raise ValueError("batch score maps must be binary; use the relaxed path")
-    return maps
-
 
 @dataclass(frozen=True)
 class BatchCertification:
@@ -421,53 +393,15 @@ class BatchCertification:
 
 
 def certify_batch(maps: np.ndarray, labels: np.ndarray,
-                  rects: Tuple[np.ndarray, ...], r_max: int,
-                  chunk: int = MAP_CHUNK) -> BatchCertification:
+                  rects: Tuple[np.ndarray, ...], r_max: int) -> BatchCertification:
     """Certify (B,h,w,C) binary maps against precomputed dependency rectangles
-    (from geometry.dependency_rects). Integer-exact throughout.
-
-    Works on per-class score sums: the delta sum outside R(l) for rival c
-    equals (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score sums, so
-    no delta map is materialized.
-    """
-    maps = _validate_batch_maps(maps)
-    b, h, w, c = maps.shape
-    labels = validate_labels(labels, b, c)
-    area = rects[4]
-    factors = interval_factors(rects, h, w, exact_sum_dtype(h, w))
-
-    def run(y, s):
-        total, outside = outside_sums(s, factors)
-        out_true, rival = _split_rival(outside, y)
-        worst = out_true - rival - area                      # (n, L)
-        lim = worst.argmin(axis=1)
-        m_s = worst[np.arange(len(y)), lim]
-        pred, tied, gap = _global_gap(total.astype(np.int64), y)
-        m_c = gap - 2 * r_max
-        clean = (pred == y) & ~tied
-        return pred, tied, (m_s > 0) & clean, (m_c > 0) & clean, m_s, m_c, lim
-
-    return BatchCertification(*_by_chunk(run, labels, maps, chunk))
-
-
-def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int,
-                        chunk: int = 1024):
-    """Global-margin condition only, vectorized; cost is independent of the
-    number of feasible regions. Returns (certified, margin, predicted)."""
-    maps = _validate_batch_maps(maps)
-    labels = validate_labels(labels, len(maps), maps.shape[3])
-
-    def run(y, s):
-        pred, tied, gap = _global_gap(s.sum(axis=(1, 2), dtype=np.int64), y)
-        margin = gap - 2 * r_max
-        return (margin > 0) & (pred == y) & ~tied, margin, pred
-
-    return tuple(_by_chunk(run, labels, maps, chunk))
+    (from geometry.dependency_rects). Integer-exact throughout."""
+    maps = validate_score_map(maps, 4)
+    return _certify_regions(maps, labels, rects, r_max, exact_sum_dtype(*maps.shape[1:3]))
 
 
 def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
-                          rects: Tuple[np.ndarray, ...], r_max: int,
-                          chunk: int = MAP_CHUNK):
+                          rects: Tuple[np.ndarray, ...], r_max: int):
     """Same decisions for relaxed score maps with entries in [0,1] (sigmoid or
     softmax heads). The bounds only use 0 <= s <= 1, so the conditions stay
     sound; sums are float64 and compared strictly, no tolerance.
@@ -475,23 +409,65 @@ def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
     Returns (certified_sum, certified_cheap, predicted) boolean/int arrays.
     """
     maps = np.asarray(maps, dtype=np.float64)
-    _require_batch_shape(maps)
-    if maps.min(initial=0.0) < 0.0 or maps.max(initial=0.0) > 1.0:
+    if maps.ndim != 4:
+        raise ValueError(f"expected (B,h,w,C) score maps, got shape {maps.shape}")
+    # NaN fails both comparisons, so it is rejected too
+    if not (maps.min(initial=0.0) >= 0.0 and maps.max(initial=0.0) <= 1.0):
         raise ValueError("relaxed score maps must lie in [0,1]")
+    res = _certify_regions(maps, labels, rects, r_max, np.float64)
+    return res.certified_sum, res.certified_cheap, res.predicted
+
+
+def _certify_regions(maps: np.ndarray, labels: np.ndarray,
+                     rects: Tuple[np.ndarray, ...], r_max: int,
+                     dtype) -> BatchCertification:
+    """Both sum conditions for (B,h,w,C) maps with rectangle sums exact in
+    `dtype`, MAP_CHUNK maps at a time. The delta sum outside R(l) for rival c
+    is (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score sums, so no
+    delta map is materialized. For a float (relaxed) d and an integer area a
+    the rounded d - a is positive exactly when d > a, so min(d - a) > 0
+    decides as every d > a would."""
     b, h, w, c = maps.shape
     labels = validate_labels(labels, b, c)
     area = rects[4]
-    factors = interval_factors(rects, h, w, np.float64)
+    if r_max < area.max(initial=0):
+        raise ValueError(f"r_max {r_max} is below the largest dependency-rectangle "
+                         f"area {area.max()}")
+    factors = interval_factors(rects, h, w, dtype)
 
     def run(y, s):
         total, outside = outside_sums(s, factors)
         out_true, rival = _split_rival(outside, y)
+        worst = out_true - rival - area                      # (n, L)
+        lim = worst.argmin(axis=1)
+        m_s = worst[np.arange(len(y)), lim]
         pred, tied, gap = _global_gap(total, y)
+        m_c = gap - 2 * r_max
         clean = (pred == y) & ~tied
-        return (((out_true - rival) > area).all(axis=1) & clean,
-                (gap > 2.0 * r_max) & clean, pred)
+        return pred, tied, (m_s > 0) & clean, (m_c > 0) & clean, m_s, m_c, lim
 
-    return tuple(_by_chunk(run, labels, maps, chunk))
+    return BatchCertification(*_by_chunk(run, labels, maps, MAP_CHUNK))
+
+
+def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int):
+    """Global-margin condition only, vectorized; cost is independent of the
+    number of feasible regions. Returns (certified, margin, predicted)."""
+    return _global_margin(maps, labels, r_max)[:3]
+
+
+def _global_margin(maps: np.ndarray, labels: np.ndarray, r_max: int):
+    """certify_batch_cheap's three outputs, then the tie flags."""
+    maps = validate_score_map(maps, 4)
+    labels = validate_labels(labels, len(maps), maps.shape[3])
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+
+    def run(y, s):
+        pred, tied, gap = _global_gap(s.sum(axis=(1, 2), dtype=np.int64), y)
+        margin = gap - 2 * r_max
+        return (margin > 0) & (pred == y) & ~tied, margin, pred, tied
+
+    return tuple(_by_chunk(run, labels, maps, CHEAP_CHUNK))
 
 
 # ---------------------------------------------------------------------------

@@ -293,13 +293,12 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
                 detail.append([i, int(labels[i]), int(pred[i]), "",
                                int(cert_s[i]), int(cert_c[i]), "", "", ""])
         else:
-            batch = certify.certify_batch(maps.astype(np.uint8), labels, rects, rmax)
+            batch = certify.certify_batch(maps, labels, rects, rmax)
             flags["2"], flags["3"] = batch.certified_sum, batch.certified_cheap
             gen = np.zeros(n, dtype=bool)
             if condition in ("1", "all"):
                 for i in range(n):
-                    res = certify.certify_generic(maps[i].astype(np.uint8),
-                                                  int(labels[i]), regions, layers)
+                    res = certify.certify_generic(maps[i], int(labels[i]), regions, layers)
                     gen[i] = bool(res.certified_generic)
                 flags["1"] = gen
             for i in range(n):
@@ -354,11 +353,11 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     regions = _regions("attack.patch", (ph, pw), h_in, w_in)
     rects = geometry.dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
-    maps = model.forward_maps(params, spec, images, 128).astype(np.uint8)
+    maps = model.forward_maps(params, spec, images, 128)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
-    results = [attack_mod.pgd_patch_attack(params, spec, images[i], int(labels[i]),
-                                           replace(base, seed=seed + i))
+    results = [attack_mod.pgd_patch_attack(params, spec, images[i], maps[i],
+                                           int(labels[i]), replace(base, seed=seed + i))
                for i in range(len(images))]
 
     rows = []

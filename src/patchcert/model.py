@@ -229,15 +229,6 @@ def forward_maps(params: Parameters, spec: NetworkSpec, images: np.ndarray,
                            for lo in range(0, len(images), batch)])
 
 
-def binary_scores(scores: Tensor) -> np.ndarray:
-    """Score tensor of a heaviside head -> uint8 array for the certifier."""
-    arr = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
-    out = arr.astype(np.uint8)
-    if not np.array_equal(out, arr):
-        raise ValueError("score map is not binary; use the relaxed certification path")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 

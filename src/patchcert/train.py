@@ -213,7 +213,7 @@ def _evaluate(params: Parameters, spec: NetworkSpec, images: np.ndarray,
     margin) over an evaluation split."""
     maps = model.forward_maps(params, spec, images, batch)
     if mode == "heaviside_st":
-        res = certify.certify_batch(maps.astype(np.uint8), labels, rects, rmax)
+        res = certify.certify_batch(maps, labels, rects, rmax)
         clean = float((res.predicted == labels).mean())
         return clean, float(res.certified_sum.mean()), float(res.certified_cheap.mean())
     cert_s, cert_c, pred = certify.certify_batch_relaxed(maps, labels, rects, rmax)

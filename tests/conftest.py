@@ -117,6 +117,12 @@ def reference_forward(params, spec, x, mode=None, *, tape=None, training=False):
     return logits, core.activation(logits, mode or spec.activation, tape=tape)
 
 
+def clean_map(params, spec, x):
+    """Score map of one image from a batch-1 forward, as pgd_patch_attack
+    takes it."""
+    return model.forward(params, spec, x)[1].data[0]
+
+
 def reference_pgd_patch_attack(params, spec, x, c_t, config):
     """Full-image PGD reference: every step runs the forward and backward over
     the whole image and sums the votes of the whole map. Returns the fields

@@ -10,11 +10,11 @@ from patchcert import core, data
 from patchcert.attack import AttackConfig, pgd_patch_attack
 from patchcert.certify import (build_integral_image, certify_all,
                                certify_batch, certify_sum, classify,
-                               region_sum)
+                               region_sum, validate_score_map)
 from patchcert.core import GradTape, Tensor
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
                                 dependency_region, enumerate_regions, r_max)
-from patchcert.model import binary_scores, build_model, cifar_spec, forward
+from patchcert.model import build_model, cifar_spec, forward
 from patchcert.train import (TrainConfig, delta_sums, margin_loss,
                              total_loss, train)
 
@@ -313,7 +313,7 @@ def test_criterion_8_attack_certificate_consistency(desk_run):
     maps = []
     for i in range(len(images)):
         _, scores = forward(params, spec, images[i])
-        maps.append(binary_scores(Tensor(scores.data[0] * 1.0)))
+        maps.append(validate_score_map(scores.data[0]))
     batch = certify_batch(np.stack(maps), labels, rects, rmax)
 
     t0 = time.perf_counter()
@@ -322,7 +322,7 @@ def test_criterion_8_attack_certificate_consistency(desk_run):
     for i in range(len(images)):
         config = AttackConfig(patch_h=3, patch_w=3, steps=100, step_size=0.025,
                               seed=1000 + i)
-        res = pgd_patch_attack(params, spec, images[i], int(labels[i]), config)
+        res = pgd_patch_attack(params, spec, images[i], maps[i], int(labels[i]), config)
         adv_correct += int(res.adv_pred == int(labels[i]))
         if batch.certified_sum[i] and res.success:
             successes_on_certified += 1

@@ -12,9 +12,9 @@ from patchcert.attack import (AttackConfig, AttackResult, apply_patch,
 from patchcert.certify import build_integral_image, delta_map
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_region,
                                 enumerate_regions)
-from patchcert.model import binary_scores, build_model, cifar_spec, forward
+from patchcert.model import build_model, cifar_spec, forward
 
-from conftest import naive_rect_sum, reference_pgd_patch_attack
+from conftest import clean_map, naive_rect_sum, reference_pgd_patch_attack
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +140,22 @@ class TestPgdAttack:
         with pytest.raises(ValueError, match="step"):
             AttackConfig(patch_h=2, patch_w=2, steps=0)
 
+    def test_clean_map_checked(self, attack_params, attack_spec, rng):
+        x = rng.random((12, 12, 1), dtype=np.float32)
+        s = clean_map(attack_params, attack_spec, x)
+        config = AttackConfig(patch_h=3, patch_w=3, steps=1)
+        with pytest.raises(ValueError, match="do not match"):
+            pgd_patch_attack(attack_params, attack_spec, x, s[:-1], 0, config)
+        s[0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="0 or 1"):
+            pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
+
     def test_deterministic(self, attack_params, attack_spec, rng):
         x = rng.random((12, 12, 1), dtype=np.float32)
         config = AttackConfig(patch_h=3, patch_w=3, steps=5, seed=9)
-        a = pgd_patch_attack(attack_params, attack_spec, x, 0, config)
-        b = pgd_patch_attack(attack_params, attack_spec, x, 0, config)
+        s = clean_map(attack_params, attack_spec, x)
+        a = pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
+        b = pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
         assert np.array_equal(a.patch, b.patch)
         assert np.array_equal(a.adversarial, b.adversarial)
         assert a.loss_trace == b.loss_trace
@@ -152,7 +163,8 @@ class TestPgdAttack:
     def test_patch_containment_bitwise(self, attack_params, attack_spec, rng):
         x = rng.random((12, 12, 1), dtype=np.float32)
         config = AttackConfig(patch_h=3, patch_w=4, steps=4, seed=2)
-        res = pgd_patch_attack(attack_params, attack_spec, x, 1, config)
+        res = pgd_patch_attack(attack_params, attack_spec, x,
+                               clean_map(attack_params, attack_spec, x), 1, config)
         mask = np.zeros_like(x, dtype=bool)
         mask[res.region.top:res.region.top + 3,
              res.region.left:res.region.left + 4, :] = True
@@ -167,10 +179,10 @@ class TestPgdAttack:
         for trial in range(5):
             x = rng.random((12, 12, 1), dtype=np.float32)
             config = AttackConfig(patch_h=3, patch_w=3, steps=3, seed=trial)
-            res = pgd_patch_attack(attack_params, attack_spec, x, 0, config)
-            before = binary_scores(forward(attack_params, attack_spec, x)[1].data[0] * 1.0)
-            after = binary_scores(forward(attack_params, attack_spec,
-                                          res.adversarial)[1].data[0] * 1.0)
+            before = certify.validate_score_map(clean_map(attack_params, attack_spec, x))
+            res = pgd_patch_attack(attack_params, attack_spec, x, before, 0, config)
+            after = certify.validate_score_map(
+                clean_map(attack_params, attack_spec, res.adversarial))
             dep = dependency_region(res.region, layers, 12, 12)
             outside = ~dep.as_mask(12, 12)
             assert np.array_equal(before[outside], after[outside])
@@ -182,10 +194,10 @@ class TestPgdAttack:
         regions = enumerate_regions(12, 12, 3, 3)
         for trial in range(200):
             x = rng.random((12, 12, 1), dtype=np.float32)
-            s = binary_scores(forward(params, attack_spec, x)[1].data[0] * 1.0)
+            s = clean_map(params, attack_spec, x)
             assert certify.certify_sum(s, 0, regions, layers).certified_sum
             config = AttackConfig(patch_h=3, patch_w=3, steps=2, seed=trial)
-            res = pgd_patch_attack(params, attack_spec, x, 0, config)
+            res = pgd_patch_attack(params, attack_spec, x, s, 0, config)
             assert not res.success
             assert res.adv_pred == 0
 
@@ -248,7 +260,8 @@ class TestReceptiveFieldCrop:
                             (side, side, 2), dtype=np.float32)
                         config = AttackConfig(patch_h=ph, patch_w=pw, steps=3,
                                               step_size=0.1, seed=seed)
-                        res = pgd_patch_attack(params, spec, x, seed % 3, config)
+                        res = pgd_patch_attack(params, spec, x, clean_map(params, spec, x),
+                                               seed % 3, config)
                         ref = reference_pgd_patch_attack(params, spec, x, seed % 3, config)
                         assert_matches_reference(res, ref)
                         seen[placement(res.region, side)] += 1
@@ -263,5 +276,6 @@ class TestReceptiveFieldCrop:
         x = np.random.default_rng(seed).random((side, side, 2), dtype=np.float32)
         config = AttackConfig(patch_h=patch[0], patch_w=patch[1], steps=2,
                               step_size=0.1, seed=seed)
-        assert_matches_reference(pgd_patch_attack(params, spec, x, label, config),
+        assert_matches_reference(pgd_patch_attack(params, spec, x, clean_map(params, spec, x),
+                                                  label, config),
                                  reference_pgd_patch_attack(params, spec, x, label, config))

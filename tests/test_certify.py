@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,7 +264,7 @@ class TestAggregatorRegistration:
 
 
 class TestBatchPath:
-    def test_agrees_with_single_path(self, rng):
+    def test_agrees_with_single_path(self, rng, monkeypatch):
         layers = [LayerGeom(3), LayerGeom(3)]
         regions = enumerate_regions(8, 8, 3, 3)
         rects = dependency_rects(regions, layers, 8, 8)
@@ -271,8 +273,10 @@ class TestBatchPath:
                                     p_other=rng.uniform(0.0, 0.4))
                          for _ in range(64)])
         labels = rng.integers(0, 4, size=64)
-        batch = certify_batch(maps, labels, rects, rmax, chunk=17)
-        cheap_only = certify_batch_cheap(maps, labels, rmax, chunk=13)
+        monkeypatch.setattr(certify, "MAP_CHUNK", 17)
+        monkeypatch.setattr(certify, "CHEAP_CHUNK", 13)
+        batch = certify_batch(maps, labels, rects, rmax)
+        cheap_only = certify_batch_cheap(maps, labels, rmax)
         for i in range(64):
             single_s = certify_sum(maps[i], int(labels[i]), regions, layers)
             single_c = certify_cheap(maps[i], int(labels[i]), rmax)
@@ -392,7 +396,8 @@ def test_certify_batch_matches_brute_force(case):
     regions = enumerate_regions(h_in, w_in, ph, pw)
     rects = dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
-    batch = certify_batch(maps, labels, rects, rmax, chunk=chunk)
+    with mock.patch.object(certify, "MAP_CHUNK", chunk):
+        batch = certify_batch(maps, labels, rects, rmax)
     n, h_out, w_out, c = maps.shape
     assert all(len(v) == n for v in vars(batch).values())
     boxes = list(zip(*(a.tolist() for a in rects[:4])))
@@ -417,6 +422,102 @@ def test_certify_batch_matches_brute_force(case):
         want = [pred, brute_force_certified(s, y, masks), clean and margin_cheap > 0,
                 min(worst), margin_cheap, worst.index(min(worst))]
         assert [int(v) for v in got] == [int(v) for v in want]
+
+
+class TestUnsoundInputsRejected:
+    """Relaxed maps outside [0,1] and an r_max below the largest dependency
+    rectangle would let a certificate through that the bounds do not
+    support; each is rejected."""
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.125, 1.125, np.inf])
+    def test_relaxed_entry_outside_unit_interval(self, rng, bad):
+        maps, rects, rmax = TestLabelValidation.batch_case(rng)
+        relaxed = maps.astype(np.float64)
+        relaxed[2, 3, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            certify_batch_relaxed(relaxed, np.zeros(4, dtype=np.int64), rects, rmax)
+
+    def test_negative_r_max_for_the_global_margin(self, rng):
+        s = np.zeros((4, 4, 2), dtype=np.uint8)
+        s[:, :, 0] = 1
+        with pytest.raises(ValueError, match="r_max"):
+            certify_batch_cheap(s[None], [0], -3)
+        with pytest.raises(ValueError, match="r_max"):
+            certify_cheap(s, 0, -1)
+        assert certify_cheap(s, 0, 0).certified_cheap
+
+    @pytest.mark.parametrize("path", ["batch", "relaxed"])
+    def test_r_max_below_the_largest_rectangle(self, rng, path):
+        maps, rects, rmax = TestLabelValidation.batch_case(rng)
+        run = TestLabelValidation.BATCH_PATHS[path]
+        with pytest.raises(ValueError, match="r_max"):
+            run(maps, np.zeros(4, dtype=np.int64), rects, rmax - 1)
+        run(maps, np.zeros(4, dtype=np.int64), rects, rmax)
+
+
+class TestRelaxedFractions:
+    """Relaxed maps in multiples of 1/8: every float64 sum is exact, so the
+    decisions can be checked exactly, ties included."""
+
+    def test_exact_ties_do_not_certify(self):
+        # one_d_example's region reaches cells 0-2 (area 3, R_max 3). Outside
+        # it, class 0 sums to 3.625 and class 1 to 0.625: d = 3 = area. The
+        # totals are 6.625 and 0.625: gap 6 = 2 R_max. Both are ties.
+        _, layers, regions = one_d_example()
+        rects = dependency_rects(regions, layers, 1, 8)
+        s = np.zeros((1, 8, 2))
+        s[0, :, 0] = [1, 1, 1, 1, 1, 0.625, 0.5, 0.5]
+        s[0, :, 1] = [0, 0, 0, 0, 0, 0.125, 0.25, 0.25]
+        tie = certify_batch_relaxed(s[None], [0], rects, 3)
+        assert [bool(tie[0][0]), bool(tie[1][0]), int(tie[2][0])] == [False, False, 0]
+        s[0, 7, 0] += 0.125
+        above = certify_batch_relaxed(s[None], [0], rects, 3)
+        assert [bool(above[0][0]), bool(above[1][0])] == [True, True]
+
+
+@st.composite
+def fractional_relaxed_cases(draw):
+    """A layer stack, an input grid, a patch shape and a batch of relaxed maps
+    with entries in multiples of 1/8, drawn from a few levels so that exact
+    ties between a margin and its bound occur; the true class draws from
+    higher levels so that certificates occur too."""
+    layers = draw(st.lists(st.builds(LayerGeom, st.sampled_from([1, 3]),
+                                     st.sampled_from([1, 1, 2])),
+                           min_size=1, max_size=3))
+    h_in, w_in = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    ph, pw = draw(st.integers(1, min(3, h_in))), draw(st.integers(1, min(3, w_in)))
+    c, n = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    low = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True))
+    high = draw(st.lists(st.integers(4, 8), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    info = receptive_field(layers, h_in, w_in)
+    labels = rng.integers(0, c, size=n)
+    maps = rng.choice(low, size=(n, info.h_out, info.w_out, c)) / 8
+    maps[np.arange(n), :, :, labels] = rng.choice(high, size=(n, info.h_out, info.w_out)) / 8
+    return layers, h_in, w_in, ph, pw, maps, labels
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(fractional_relaxed_cases())
+def test_relaxed_fractions_match_slicing(case):
+    layers, h_in, w_in, ph, pw, maps, labels = case
+    regions = enumerate_regions(h_in, w_in, ph, pw)
+    rects = dependency_rects(regions, layers, h_in, w_in)
+    rmax = int(rects[4].max())
+    cert_s, cert_c, pred = certify_batch_relaxed(maps, labels, rects, rmax)
+    deps = [dependency_region(r, layers, h_in, w_in) for r in regions]
+    assert rmax == max(d.size for d in deps)
+    for s, y, *got in zip(maps, labels, cert_s, cert_c, pred):
+        sums = s.sum(axis=(0, 1))
+        clean = int(sums.argmax()) == y and (sums == sums.max()).sum() == 1
+        rivals = [k for k in range(s.shape[2]) if k != y]
+        per_region = []
+        for d in deps:
+            out = sums - s[d.row_start:d.row_stop, d.col_start:d.col_stop].sum(axis=(0, 1))
+            per_region.append(out[y] - max(out[rivals]) > d.size)
+        gap = sums[y] - max(sums[rivals])
+        want = [clean and all(per_region), clean and gap > 2 * rmax, int(sums.argmax())]
+        assert [bool(got[0]), bool(got[1]), int(got[2])] == want
 
 
 class TestScoreMapBlobs:
@@ -499,7 +600,7 @@ class TestIntervalProducts:
         return enumerate_regions(self.H_IN, self.W_IN, 3, 2), maps, labels
 
     @pytest.mark.parametrize("pick", ["shuffled", "subset"])
-    def test_reordered_regions_match_brute_force(self, rng, pick):
+    def test_reordered_regions_match_brute_force(self, rng, pick, monkeypatch):
         regions, maps, labels = self.case(rng)
         order = rng.permutation(len(regions))
         if pick == "subset":
@@ -508,7 +609,8 @@ class TestIntervalProducts:
         rects = dependency_rects(chosen, self.LAYERS, self.H_IN, self.W_IN)
         h_out, w_out = maps.shape[1:3]
         assert certify.interval_factors(rects, h_out, w_out, np.float32).index is not None
-        batch = certify_batch(maps, labels, rects, int(rects[4].max()), chunk=5)
+        monkeypatch.setattr(certify, "MAP_CHUNK", 5)
+        batch = certify_batch(maps, labels, rects, int(rects[4].max()))
 
         deps = [dependency_region(r, self.LAYERS, self.H_IN, self.W_IN) for r in chosen]
         masks = [d.as_mask(h_out, w_out) for d in deps]

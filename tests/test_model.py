@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchcert import model
+from patchcert import certify, model
 from patchcert.core import GradTape, Tensor
 from patchcert.geometry import PatchRegion, dependency_region, receptive_field
 from patchcert.model import (NetworkSpec, build_model, cifar_spec, forward,
@@ -242,10 +242,10 @@ class TestCheckpoint:
 class TestBinaryScores:
     def test_accepts_binary(self):
         t = Tensor(np.array([[[0.0, 1.0]]], dtype=np.float32))
-        out = model.binary_scores(t)
+        out = certify.validate_score_map(t.data)
         assert out.dtype == np.uint8
 
     def test_rejects_relaxed(self):
         t = Tensor(np.array([[[0.5, 1.0]]], dtype=np.float32))
-        with pytest.raises(ValueError, match="not binary"):
-            model.binary_scores(t)
+        with pytest.raises(ValueError, match="0 or 1"):
+            certify.validate_score_map(t.data)
