@@ -26,7 +26,7 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError("attack needs at least one step")
+            raise ValueError("attack.steps: attack needs at least one step")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(
                 f"attack.step_size must be finite and > 0, got {self.step_size}")

@@ -17,8 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (DependencyRegion, LayerGeom, PatchRegion,
-                       dependency_rects, dependency_region)
+from .geometry import DependencyRegion, LayerGeom, PatchRegion, dependency_rects
 
 SCORE_MAP_MAGIC = b"PCSM"
 
@@ -328,7 +327,8 @@ def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
     evaluation per feasible region."""
     s = validate_score_map(s)
     h, w, _ = s.shape
-    slices = [_slices(dependency_region(r, layers, h, w)) for r in regions]
+    r0, r1, c0, c1, _ = (v.tolist() for v in dependency_rects(regions, layers, h, w))
+    slices = [(slice(a, b), slice(c, d)) for a, b, c, d in zip(r0, r1, c0, c1)]
     res, i = _certify_worst_case(s, c_t, slices, g)
     return replace(res, limiting_region=regions[i])
 

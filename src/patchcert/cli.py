@@ -3,6 +3,10 @@
 Configs are INI files (section.key), overridable with repeated --set flags;
 precedence is CLI > file > defaults. Every run writes a manifest.json with the
 fully resolved configuration.
+
+`main` is the one input boundary: any ValueError (the error type of every
+loader, config dataclass and certification check) exits 1 with "config
+error:", and anything else, RuntimeError included, exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from . import certify, data, geometry, model, runio, train as train_mod
 
 
 class ConfigError(ValueError):
-    """Invalid configuration or unusable input; maps to exit code 1."""
+    """An input check of the CLI itself. Like any ValueError, `main` maps it
+    to exit code 1."""
 
 
 DEFAULTS: Dict[str, Dict] = {
@@ -133,10 +138,6 @@ def _parse_patch(text: str) -> Tuple[int, int]:
         raise ConfigError(f"patch spec must look like 5x5, got {text!r}")
 
 
-def _parse_patches(text: str) -> List[Tuple[int, int]]:
-    return [_parse_patch(part) for part in text.split(",") if part.strip()]
-
-
 def _regions(key: str, patch: Tuple[int, int], h: int, w: int) -> List[geometry.PatchRegion]:
     """Every placement of the patch shape configured under `key` on an h x w input."""
     try:
@@ -165,11 +166,8 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
     if d["source"] == "cifar10":
         if not d["cifar_dir"]:
             raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")
-        try:
-            return data.load_cifar10_split(d["cifar_dir"],
-                                           "train" if split == "train" else "test")
-        except ValueError as e:
-            raise ConfigError(str(e))
+        return data.load_cifar10_split(d["cifar_dir"],
+                                       "train" if split == "train" else "test")
     raise ConfigError(f"unknown data source {d['source']!r}")
 
 
@@ -200,12 +198,9 @@ def _build_spec(config: Dict, dataset: data.DatasetHandle) -> model.NetworkSpec:
     classes = m["classes"]
     if classes <= 0:
         classes = 2 if config["data"]["source"] == "synth" else 10
-    try:
-        return model.cifar_spec(m["rf"], input_shape=dataset.image_shape,
-                                width=m["width"], classes=classes,
-                                activation=m["activation"])
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return model.cifar_spec(m["rf"], input_shape=dataset.image_shape,
+                            width=m["width"], classes=classes,
+                            activation=m["activation"])
 
 
 def _load_checkpoint(path: str):
@@ -214,10 +209,7 @@ def _load_checkpoint(path: str):
                           "attack.checkpoint)")
     if not os.path.isfile(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    try:
-        return model.load_checkpoint(path)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    return model.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +221,13 @@ def cmd_train(out_dir: str, config: Dict, seed: int) -> int:
         raise ConfigError("training split is empty (data.n_per_class must be >= 1)")
     spec = _build_spec(config, dataset)
     t = config["train"]
-    try:
-        train_config = train_mod.TrainConfig(
-            margin=t["margin"], one_hot_weight=t["sigma"], lr=t["lr"],
-            batch_size=t["batch_size"], epochs=t["epochs"],
-            warmup_epochs=t["warmup_epochs"], seed=seed,
-            activation=config["model"]["activation"], augment=t["augment"],
-            holdout_fraction=t["holdout_fraction"],
-            eval_patch=_parse_patch(t["eval_patch"]))
-    except ValueError as e:
-        raise ConfigError(str(e))
+    train_config = train_mod.TrainConfig(
+        margin=t["margin"], one_hot_weight=t["sigma"], lr=t["lr"],
+        batch_size=t["batch_size"], epochs=t["epochs"],
+        warmup_epochs=t["warmup_epochs"], seed=seed,
+        activation=config["model"]["activation"], augment=t["augment"],
+        holdout_fraction=t["holdout_fraction"],
+        eval_patch=_parse_patch(t["eval_patch"]))
     _regions("train.eval_patch", train_config.eval_patch, *dataset.image_shape[:2])
     result = train_mod.train(train_config, dataset, spec)
     runio.write_csv(os.path.join(out_dir, "metrics.csv"),
@@ -271,55 +260,41 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
     if relaxed and condition in ("1", "all"):
         raise ConfigError("the generic condition needs a binary head; "
                           "use condition 2 or 3 for relaxed checkpoints")
-
-    patches = _parse_patches(c["patches"])
+    patches = [_parse_patch(part) for part in c["patches"].split(",") if part.strip()]
     if not patches:
         raise ConfigError("no patch shapes configured")
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
+    shapes = [(ph, pw, _regions("certify.patches", (ph, pw), h_in, w_in))
+              for ph, pw in patches]
+    generic = condition in ("1", "all")
+    n = len(images)
     maps = model.forward_maps(params, spec, images, 128)
     summary_rows = []
-    for ph, pw in patches:
-        regions = _regions("certify.patches", (ph, pw), h_in, w_in)
+    for ph, pw, regions in shapes:
         rects = geometry.dependency_rects(regions, layers, h_in, w_in)
         rmax = int(rects[4].max())
-        n = len(images)
-        detail = []
-        flags: Dict[str, np.ndarray] = {}
         if relaxed:
-            cert_s, cert_c, pred = certify.certify_batch_relaxed(maps, labels, rects, rmax)
-            flags["2"], flags["3"] = cert_s, cert_c
-            for i in range(n):
-                detail.append([i, int(labels[i]), int(pred[i]), "",
-                               int(cert_s[i]), int(cert_c[i]), "", "", ""])
+            cert_32, cert_33, pred = certify.certify_batch_relaxed(maps, labels, rects, rmax)
+            limits = [["", "", ""]] * n
         else:
             batch = certify.certify_batch(maps, labels, rects, rmax)
-            flags["2"], flags["3"] = batch.certified_sum, batch.certified_cheap
-            gen = np.zeros(n, dtype=bool)
-            if condition in ("1", "all"):
-                for i in range(n):
-                    res = certify.certify_generic(maps[i], int(labels[i]), regions, layers)
-                    gen[i] = bool(res.certified_generic)
-                flags["1"] = gen
-            for i in range(n):
-                lim = regions[int(batch.limiting_index[i])]
-                detail.append([
-                    i, int(labels[i]), int(batch.predicted[i]),
-                    int(gen[i]) if condition in ("1", "all") else "",
-                    int(batch.certified_sum[i]), int(batch.certified_cheap[i]),
-                    int(batch.margin_sum[i]), lim.top, lim.left])
-            if condition == "all":
-                nested = ((~flags["3"] | flags["2"]) & (~flags["2"] | flags["1"])).all()
-                if not nested:
-                    raise RuntimeError(
-                        f"condition nesting violated on patch {ph}x{pw}: "
-                        "3.3 must imply 3.2 must imply 3.1")
+            pred, cert_32, cert_33 = batch.predicted, batch.certified_sum, batch.certified_cheap
+            limits = [[int(m), regions[k].top, regions[k].left]
+                      for m, k in zip(batch.margin_sum, batch.limiting_index.tolist())]
+        flags = {"2": cert_32, "3": cert_33}
+        if generic:
+            flags["1"] = np.array([certify.certify_generic(maps[i], int(labels[i]), regions,
+                                                           layers).certified_generic
+                                   for i in range(n)], dtype=bool)
+        if condition == "all" and not ((~cert_33 | cert_32) & (~cert_32 | flags["1"])).all():
+            raise RuntimeError(f"condition nesting violated on patch {ph}x{pw}: "
+                               "3.3 must imply 3.2 must imply 3.1")
+        detail = [[i, int(labels[i]), int(pred[i]), int(flags["1"][i]) if generic else "",
+                   int(cert_32[i]), int(cert_33[i])] + limits[i] for i in range(n)]
         runio.write_csv(os.path.join(out_dir, f"certify_detail_{ph}x{pw}.csv"),
                         DETAIL_HEADER, detail)
-        wanted = ("1", "2", "3") if condition == "all" else (condition,)
-        for cond in wanted:
-            if cond not in flags:
-                continue
+        for cond in ("1", "2", "3") if condition == "all" else (condition,):
             k = int(flags[cond].sum())
             summary_rows.append([ph, pw, f"3.{cond}", n, k, f"{k / n:.6f}"])
             print(f"patch {ph}x{pw} condition 3.{cond}: {k}/{n} certified "
@@ -342,11 +317,8 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
                           "attack a heaviside_st checkpoint")
     images, labels = _eval_split(config, seed, spec, "attack")
     ph, pw = _parse_patch(a["patch"])
-    try:
-        base = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
-                                       step_size=a["step_size"], seed=seed)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    base = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
+                                   step_size=a["step_size"], seed=seed)
 
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
@@ -395,10 +367,7 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     if b["blob"]:
         if not os.path.isfile(b["blob"]):
             raise ConfigError(f"score-map blob not found: {b['blob']}")
-        try:
-            loaded = certify.load_score_maps(b["blob"])
-        except ValueError as e:
-            raise ConfigError(str(e))
+        loaded = certify.load_score_maps(b["blob"])
         shapes = {m.shape for m in loaded}
         if len(shapes) != 1:
             raise ConfigError("bench blob must contain uniformly-shaped maps")
@@ -414,10 +383,7 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     rng = np.random.default_rng(seed + 1)
     labels = rng.integers(0, c, size=n)
 
-    try:
-        layers = model.cifar_spec(b["rf"]).layer_geom()
-    except ValueError as e:
-        raise ConfigError(str(e))
+    layers = model.cifar_spec(b["rf"]).layer_geom()
 
     rows = []
 
@@ -480,10 +446,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.makedirs(args.out, exist_ok=True)
         runio.write_manifest(args.out, args.cmd, config, args.seed)
         return COMMANDS[args.cmd](args.out, config, args.seed)
-    except ConfigError as e:
+    except ValueError as e:  # every input check, ConfigError included
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # runtime failures map to exit code 2
+    except Exception as e:  # declared runtime failures and unexpected faults
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -344,7 +344,7 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, Optional[np.ndarray]],
         if g is not None and not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}; update aborted")
         if g is not None and g.shape != params[name].data.shape:
-            raise ValueError(
+            raise RuntimeError(
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"shape {params[name].data.shape}")
     state.step += 1

@@ -4,7 +4,7 @@ propagation, and the output rectangle a patch can influence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,17 +44,17 @@ class LayerGeom:
 
     kernel: int
     stride: int = 1
-    padding: Optional[int] = None  # defaults to kernel // 2
 
     def __post_init__(self):
         if self.kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {self.kernel}")
         if self.stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        pad = self.kernel // 2 if self.padding is None else self.padding
-        if pad != self.kernel // 2:
-            raise ValueError(f"padding must equal kernel//2, got {pad} for kernel {self.kernel}")
-        object.__setattr__(self, "padding", pad)
+
+    @property
+    def padding(self) -> int:
+        """'Same' padding, the only one the model uses."""
+        return self.kernel // 2
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def cifar_spec(rf: int, *, input_shape=(32, 32, 3), width: int = 64,
     h_in, w_in, _ = spec.input_shape
     got = receptive_field(spec.layer_geom(), h_in, w_in).rf_h
     if got != rf:
-        raise ValueError(f"spec rf{rf} derives receptive field {got}")
+        raise RuntimeError(f"spec rf{rf} derives receptive field {got}")
     return spec
 
 

@@ -32,19 +32,22 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.margin <= 1.0:
-            raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
+            raise ValueError(f"train.margin must lie in (0, 1], got {self.margin}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"train.lr must be finite and > 0, got {self.lr}")
         if self.one_hot_weight < 0.0:
-            raise ValueError("one-hot weight must be non-negative")
+            raise ValueError("train.sigma: one-hot weight must be non-negative")
+        if not math.isfinite(self.one_hot_weight):
+            raise ValueError(f"train.sigma must be finite, got {self.one_hot_weight}")
         if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be positive")
+            raise ValueError("train.batch_size/train.epochs: batch size and epochs "
+                             "must be positive")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError(
-                f"warmup ({self.warmup_epochs} epochs) must be shorter than the "
-                f"run ({self.epochs} epochs)")
+                f"train.warmup_epochs: warmup ({self.warmup_epochs} epochs) must be "
+                f"shorter than the run ({self.epochs} epochs)")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout fraction must lie in (0, 1)")
+            raise ValueError("train.holdout_fraction: holdout fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,7 @@ def train(config: TrainConfig, dataset: DatasetHandle,
     holdout_idx = order[:n_holdout]
     train_idx = order[n_holdout:]
     if len(train_idx) == 0:
-        raise ValueError("holdout split leaves no training data")
+        raise ValueError("train.holdout_fraction: holdout split leaves no training data")
     holdout_images = dataset.images[holdout_idx]
     holdout_labels = dataset.labels[holdout_idx]
 

@@ -108,6 +108,17 @@ class TestTrainCommand:
         assert code == 1
         assert "data.n_per_class" in capsys.readouterr().err
 
+    def test_labels_beyond_model_classes_exit_1(self, tmp_path, capsys):
+        cifar = tmp_path / "cifar"
+        cifar.mkdir()
+        images = np.random.default_rng(0).random((10, 32, 32, 3)).astype(np.float32)
+        for name in CIFAR_TRAIN_FILES:
+            (cifar / name).write_bytes(encode_records(images, np.arange(10)))
+        code = main(["train", "--out", str(tmp_path / "o"), "--set", "data.source=cifar10",
+                     "--set", f"data.cifar_dir={cifar}", "--set", "model.classes=3"])
+        assert code == 1
+        assert "labels reach 9" in capsys.readouterr().err
+
 
 def damaged_checkpoints(trained_run, tmp_path):
     """A truncated copy of a good checkpoint and a file of garbage, with the
@@ -210,13 +221,35 @@ class TestConfigValues:
     @pytest.mark.parametrize("setting, key", [
         ("data.height=4", "data.height"), ("data.width=0", "data.width"),
         ("train.lr=nan", "train.lr"), ("train.lr=inf", "train.lr"),
-        ("train.lr=0", "train.lr"), ("train.lr=-1", "train.lr")])
+        ("train.lr=0", "train.lr"), ("train.lr=-1", "train.lr"),
+        ("train.sigma=nan", "train.sigma"), ("train.sigma=inf", "train.sigma"),
+        ("train.sigma=-1", "train.sigma"), ("train.margin=1.5", "train.margin"),
+        ("train.holdout_fraction=1", "train.holdout_fraction"),
+        ("train.holdout_fraction=0.999", "train.holdout_fraction")])
     def test_train_exit_1(self, tmp_path, capsys, setting, key):
         out = tmp_path / "o"
         code = main(["train", "--out", str(out), "--set", setting] + QUICK_TRAIN)
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("train.batch_size=0", "train.batch_size"), ("train.epochs=0", "train.epochs"),
+        ("train.warmup_epochs=2", "train.warmup_epochs")])
+    def test_train_schedule_exit_1(self, tmp_path, capsys, setting, key):
+        # after QUICK_TRAIN, which sets these keys itself
+        out = tmp_path / "o"
+        code = main(["train", "--out", str(out)] + QUICK_TRAIN + ["--set", setting])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_attack_steps_exit_1(self, trained_run, tmp_path, capsys):
+        code = main(["attack", "--out", str(tmp_path / "o"),
+                     "--set", f"attack.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", "attack.steps=0", "--set", "attack.limit=1"])
+        assert code == 1
+        assert "attack.steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_attack_step_size_exit_1(self, trained_run, tmp_path, capsys, value):
@@ -278,6 +311,15 @@ class TestCertifyCommand:
                      "--set", f"certify.checkpoint={trained_run}/checkpoint.pckp",
                      "--set", "certify.patches=40x40"])
         assert code == 1
+
+    def test_bad_later_shape_writes_no_csv(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["certify", "--out", str(out),
+                     "--set", f"certify.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", "certify.patches=3x3,17x1"])
+        assert code == 1
+        assert "certify.patches" in capsys.readouterr().err
+        assert not list(out.glob("certify_*.csv"))
 
 
 class TestAttackCommand:

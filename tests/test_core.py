@@ -213,6 +213,12 @@ class TestAdam:
         assert state.step == 0
         assert np.array_equal(p["w"].data, np.zeros(2, dtype=np.float32))
 
+    def test_gradient_shape_mismatch_is_a_fault(self):
+        # a RuntimeError, so that training does not report it as divergence
+        p = {"w": Tensor(np.zeros(2, dtype=np.float32))}
+        with pytest.raises(RuntimeError, match="'w'"):
+            adam_step(p, {"w": np.zeros(3, dtype=np.float32)}, AdamState.init(p), lr=0.001)
+
 
 class TestTapeComposition:
     def test_shared_input_accumulates(self, rng):

@@ -201,7 +201,8 @@ class TestValidation:
             LayerGeom(kernel=5)
         with pytest.raises(ValueError):
             LayerGeom(kernel=3, stride=3)
-        with pytest.raises(ValueError):
+        assert (LayerGeom(kernel=3).padding, LayerGeom(kernel=1).padding) == (1, 0)
+        with pytest.raises(TypeError):
             LayerGeom(kernel=3, padding=0)
 
 

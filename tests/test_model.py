@@ -59,6 +59,11 @@ class TestBuild:
         with pytest.raises(ValueError, match="kernel table"):
             cifar_spec(6)
 
+    def test_inconsistent_kernel_table_is_a_fault(self, monkeypatch):
+        monkeypatch.setitem(model.BLOCK_KERNELS, 5, (1,) * 8)
+        with pytest.raises(RuntimeError, match="derives receptive field 3"):
+            cifar_spec(5)
+
     def test_head_is_1x1_with_class_channels(self, small_params, small_spec):
         head = small_params.tensors["head.kernel"].data
         assert head.shape == (1, 1, small_spec.width, small_spec.classes)
