@@ -320,14 +320,19 @@ def register_aggregator(name: str,
 
 
 def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
-                    layers: Sequence[LayerGeom],
+                    rects: Tuple[np.ndarray, ...],
                     g: AggregatorSpec = G_SUM) -> CertificationResult:
     """Reference path: materialize the worst-case map for every region and
-    demand strict dominance of c_t under the aggregator. Costs one aggregator
-    evaluation per feasible region."""
+    demand strict dominance of c_t under the aggregator. `rects` are the
+    regions' dependency rectangles (from geometry.dependency_rects), as
+    certify_batch takes them. Costs one aggregator evaluation per feasible
+    region."""
     s = validate_score_map(s)
-    h, w, _ = s.shape
-    r0, r1, c0, c1, _ = (v.tolist() for v in dependency_rects(regions, layers, h, w))
+    r0, r1, c0, c1, _ = (v.tolist() for v in rects)
+    if len(r0) != len(regions):
+        raise ValueError(f"{len(r0)} dependency rectangles for {len(regions)} regions")
+    if r0 and (max(r1) > s.shape[0] or max(c1) > s.shape[1]):
+        raise ValueError(f"dependency rectangles exceed the {s.shape[:2]} grid")
     slices = [(slice(a, b), slice(c, d)) for a, b, c, d in zip(r0, r1, c0, c1)]
     res, i = _certify_worst_case(s, c_t, slices, g)
     return replace(res, limiting_region=regions[i])
@@ -350,10 +355,11 @@ def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
     labels = validate_labels([c_t], 1, s.shape[2])
     (pred,), (tied,), _ = _global_gap(s.sum(axis=(0, 1), dtype=np.int64)[None], labels)
     worst = limiting = None
+    top = np.iinfo(np.int64).max
     for i, idx in enumerate(index_sets):
         scores = np.asarray(g.fn(_flip_against(s, c_t, idx)), dtype=np.int64)
         gaps = scores[c_t] - scores
-        gaps[c_t] = np.iinfo(np.int64).max
+        gaps[c_t] = top
         gap = int(gaps.min())
         if worst is None or gap < worst:
             worst, limiting = gap, i
@@ -370,9 +376,11 @@ def certify_all(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                 g: AggregatorSpec = G_SUM) -> CertificationResult:
     """Evaluate all three conditions; margin/limiting region come from the
     per-region sum check."""
+    s = validate_score_map(s)
+    rects = dependency_rects(regions, layers, *s.shape[:2])
     return replace(
         certify_sum(s, c_t, regions, layers),
-        certified_generic=certify_generic(s, c_t, regions, layers, g).certified_generic,
+        certified_generic=certify_generic(s, c_t, regions, rects, g).certified_generic,
         certified_cheap=certify_cheap(s, c_t, r_max).certified_cheap)
 
 

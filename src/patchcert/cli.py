@@ -17,7 +17,6 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,12 +129,18 @@ def resolve_config(config_path: Optional[str], overrides: Sequence[str]) -> Dict
     return config
 
 
-def _parse_patch(text: str) -> Tuple[int, int]:
+def _parse_patch(key: str, text: str) -> Tuple[int, int]:
     try:
         h, w = text.lower().split("x")
         return int(h), int(w)
     except ValueError:
-        raise ConfigError(f"patch spec must look like 5x5, got {text!r}")
+        raise ConfigError(f"{key}: patch spec must look like 5x5, got {text!r}")
+
+
+def _check_rf(key: str, rf: int) -> None:
+    if rf not in model.BLOCK_KERNELS:
+        raise ConfigError(f"{key}: no kernel table for rf {rf}; choose from "
+                          f"{sorted(model.BLOCK_KERNELS)}")
 
 
 def _regions(key: str, patch: Tuple[int, int], h: int, w: int) -> List[geometry.PatchRegion]:
@@ -168,7 +173,7 @@ def _resolve_dataset(config: Dict, seed: int, split: str) -> data.DatasetHandle:
             raise ConfigError("data.cifar_dir must point at the CIFAR-10 binary batches")
         return data.load_cifar10_split(d["cifar_dir"],
                                        "train" if split == "train" else "test")
-    raise ConfigError(f"unknown data source {d['source']!r}")
+    raise ConfigError(f"data.source: unknown data source {d['source']!r}")
 
 
 def _eval_split(config: Dict, seed: int, spec: model.NetworkSpec,
@@ -186,7 +191,8 @@ def _eval_split(config: Dict, seed: int, spec: model.NetworkSpec,
     images = dataset.images[:limit]
     labels = dataset.labels[:limit]
     if len(images) == 0:
-        raise ConfigError("evaluation split is empty")
+        raise ConfigError("evaluation split is empty (synth data needs "
+                          "data.eval_n_per_class >= 1)")
     if labels.max() >= spec.classes:
         raise ConfigError(f"evaluation labels reach {labels.max()} but the checkpoint "
                           f"has {spec.classes} classes")
@@ -195,6 +201,12 @@ def _eval_split(config: Dict, seed: int, spec: model.NetworkSpec,
 
 def _build_spec(config: Dict, dataset: data.DatasetHandle) -> model.NetworkSpec:
     m = config["model"]
+    _check_rf("model.rf", m["rf"])
+    if m["width"] < 1:
+        raise ConfigError(f"model.width must be >= 1, got {m['width']}")
+    if m["activation"] not in model.HEADS:
+        raise ConfigError(f"model.activation must be one of {model.HEADS}, "
+                          f"got {m['activation']!r}")
     classes = m["classes"]
     if classes <= 0:
         classes = 2 if config["data"]["source"] == "synth" else 10
@@ -203,12 +215,11 @@ def _build_spec(config: Dict, dataset: data.DatasetHandle) -> model.NetworkSpec:
                             activation=m["activation"])
 
 
-def _load_checkpoint(path: str):
+def _load_checkpoint(key: str, path: str):
     if not path:
-        raise ConfigError("no checkpoint configured (set certify.checkpoint / "
-                          "attack.checkpoint)")
+        raise ConfigError(f"no checkpoint configured (set {key})")
     if not os.path.isfile(path):
-        raise ConfigError(f"checkpoint not found: {path}")
+        raise ConfigError(f"{key}: checkpoint not found: {path}")
     return model.load_checkpoint(path)
 
 
@@ -227,7 +238,7 @@ def cmd_train(out_dir: str, config: Dict, seed: int) -> int:
         warmup_epochs=t["warmup_epochs"], seed=seed,
         activation=config["model"]["activation"], augment=t["augment"],
         holdout_fraction=t["holdout_fraction"],
-        eval_patch=_parse_patch(t["eval_patch"]))
+        eval_patch=_parse_patch("train.eval_patch", t["eval_patch"]))
     _regions("train.eval_patch", train_config.eval_patch, *dataset.image_shape[:2])
     result = train_mod.train(train_config, dataset, spec)
     runio.write_csv(os.path.join(out_dir, "metrics.csv"),
@@ -251,18 +262,19 @@ SUMMARY_HEADER = ("patch_h", "patch_w", "condition", "n", "n_certified", "cert_a
 
 def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
     c = config["certify"]
-    params, spec, _ = _load_checkpoint(c["checkpoint"])
+    params, spec, _ = _load_checkpoint("certify.checkpoint", c["checkpoint"])
     images, labels = _eval_split(config, seed, spec, "certify")
     condition = str(c["condition"])
     if condition not in ("1", "2", "3", "all"):
-        raise ConfigError(f"condition must be one of 1|2|3|all, got {condition!r}")
+        raise ConfigError(f"certify.condition must be one of 1|2|3|all, got {condition!r}")
     relaxed = spec.activation != "heaviside_st"
     if relaxed and condition in ("1", "all"):
         raise ConfigError("the generic condition needs a binary head; "
                           "use condition 2 or 3 for relaxed checkpoints")
-    patches = [_parse_patch(part) for part in c["patches"].split(",") if part.strip()]
+    patches = [_parse_patch("certify.patches", part)
+               for part in c["patches"].split(",") if part.strip()]
     if not patches:
-        raise ConfigError("no patch shapes configured")
+        raise ConfigError("certify.patches: no patch shapes configured")
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
     shapes = [(ph, pw, _regions("certify.patches", (ph, pw), h_in, w_in))
@@ -285,7 +297,7 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
         flags = {"2": cert_32, "3": cert_33}
         if generic:
             flags["1"] = np.array([certify.certify_generic(maps[i], int(labels[i]), regions,
-                                                           layers).certified_generic
+                                                           rects).certified_generic
                                    for i in range(n)], dtype=bool)
         if condition == "all" and not ((~cert_33 | cert_32) & (~cert_32 | flags["1"])).all():
             raise RuntimeError(f"condition nesting violated on patch {ph}x{pw}: "
@@ -311,14 +323,14 @@ AGGREGATE_HEADER = ("n", "clean_acc", "adversarial_acc", "certified_acc")
 
 def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     a = config["attack"]
-    params, spec, _ = _load_checkpoint(a["checkpoint"])
+    params, spec, _ = _load_checkpoint("attack.checkpoint", a["checkpoint"])
     if spec.activation != "heaviside_st":
         raise ConfigError("the patch attack drives the straight-through head; "
                           "attack a heaviside_st checkpoint")
     images, labels = _eval_split(config, seed, spec, "attack")
-    ph, pw = _parse_patch(a["patch"])
-    base = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
-                                   step_size=a["step_size"], seed=seed)
+    ph, pw = _parse_patch("attack.patch", a["patch"])
+    attack_config = attack_mod.AttackConfig(patch_h=ph, patch_w=pw, steps=a["steps"],
+                                            step_size=a["step_size"], seed=seed)
 
     h_in, w_in, _ = spec.input_shape
     layers = spec.layer_geom()
@@ -328,9 +340,8 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     maps = model.forward_maps(params, spec, images, 128)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
-    results = [attack_mod.pgd_patch_attack(params, spec, images[i], maps[i],
-                                           int(labels[i]), replace(base, seed=seed + i))
-               for i in range(len(images))]
+    results = attack_mod.pgd_patch_attack(params, spec, images, maps, labels, attack_config,
+                                          rects)
 
     rows = []
     for i, res in enumerate(results):
@@ -363,10 +374,10 @@ BENCH_HEADER = ("condition", "n_maps", "n_regions", "repetitions",
 def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     b = config["bench"]
     if b["repetitions"] < 1:
-        raise ConfigError("bench needs at least one repetition")
+        raise ConfigError(f"bench.repetitions must be >= 1, got {b['repetitions']}")
     if b["blob"]:
         if not os.path.isfile(b["blob"]):
-            raise ConfigError(f"score-map blob not found: {b['blob']}")
+            raise ConfigError(f"bench.blob: score-map blob not found: {b['blob']}")
         loaded = certify.load_score_maps(b["blob"])
         shapes = {m.shape for m in loaded}
         if len(shapes) != 1:
@@ -383,6 +394,7 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
     rng = np.random.default_rng(seed + 1)
     labels = rng.integers(0, c, size=n)
 
+    _check_rf("bench.rf", b["rf"])
     layers = model.cifar_spec(b["rf"]).layer_geom()
 
     rows = []
@@ -405,8 +417,9 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
               f"({med * 10000 / n:.4f}s per 10k maps)")
         return med
 
-    main_regions = _regions("bench.patch", _parse_patch(b["patch"]), h, w)
-    small_regions = _regions("bench.small_patch", _parse_patch(b["small_patch"]), h, w)
+    main_regions = _regions("bench.patch", _parse_patch("bench.patch", b["patch"]), h, w)
+    small_regions = _regions("bench.small_patch",
+                             _parse_patch("bench.small_patch", b["small_patch"]), h, w)
     run("3.2", main_regions)
     run("3.2", small_regions)
     run("3.3", main_regions)

@@ -51,11 +51,14 @@ def as_tensor(x) -> Optional[Tensor]:
 
 class GradTape:
     """Ordered record of executed ops; replaying it in reverse runs the chain
-    rule and yields a gradient for every tensor touched in the forward pass."""
+    rule for the tensors a caller asks about.
+
+    A backward closure takes the output gradient and returns one gradient
+    array (or None) per input, aligned positionally. One marked with
+    `takes_needs` also gets a per-input bool tuple saying which inputs need a
+    gradient, and may return None for the others."""
 
     def __init__(self):
-        # (output, inputs, backward) where backward(grad_out) returns one
-        # gradient array (or None) per input, aligned positionally.
         self._records: List[Tuple[Tensor, Tuple[Tensor, ...], Callable]] = []
 
     def __len__(self) -> int:
@@ -67,20 +70,35 @@ class GradTape:
     def gradients(self, loss: Tensor, wrt: Iterable[Tensor]) -> Dict[int, np.ndarray]:
         """Backpropagate from `loss`; returns {id(tensor): grad} for `wrt`.
 
-        Tensors in `wrt` that did not influence the loss map to None.
+        A forward sweep first marks the tensors on a path from `wrt`; only
+        records whose output is marked run, and only marked inputs take a
+        gradient. Tensors in `wrt` that did not influence the loss map to None.
         """
+        wrt = list(wrt)
+        on_path = {id(t) for t in wrt}
+        for output, inputs, _ in self._records:
+            if any(id(t) in on_path for t in inputs):
+                on_path.add(id(output))
         grads: Dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for output, inputs, backward in reversed(self._records):
             g_out = grads.get(id(output))
-            if g_out is None:
+            if g_out is None or id(output) not in on_path:
                 continue
-            in_grads = backward(g_out)
-            for tensor, g_in in zip(inputs, in_grads):
-                if g_in is None:
+            needs = tuple(id(t) in on_path for t in inputs)
+            in_grads = (backward(g_out, needs) if getattr(backward, "takes_needs", False)
+                        else backward(g_out))
+            for tensor, need, g_in in zip(inputs, needs, in_grads):
+                if not need or g_in is None:
                     continue
                 acc = grads.get(id(tensor))
                 grads[id(tensor)] = g_in if acc is None else acc + g_in
         return {id(t): grads.get(id(t)) for t in wrt}
+
+
+def takes_needs(backward: Callable) -> Callable:
+    """Mark a backward closure as taking (grad_out, needs); see GradTape."""
+    backward.takes_needs = True
+    return backward
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +199,39 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
         inputs = [x, kernel] + ([bias] if bias is not None else []) \
             + ([gamma, beta] if norm is not None else []) + ([skip] if skip is not None else [])
 
-        def backward(g: np.ndarray):
+        @takes_needs
+        def backward(g: np.ndarray, needs):
+            need_x, need_k, *need_extra = needs[:len(needs) - (skip is not None)]
             if relu:
                 g = g * (out.data > 0)
             g_flat = g.reshape(-1, co)
-            g_kernel = flat.T @ g_flat
-            k_eff = kmat
-            extra = [] if bias is None else [g.sum(axis=(0, 1, 2))]
-            if norm is not None:
+            g_x = g_kernel = None
+            extra = [None] * len(need_extra)
+            if norm is None:
+                if need_k:
+                    g_kernel = flat.T @ g_flat
+                if bias is not None and need_extra[0]:
+                    extra = [g.sum(axis=(0, 1, 2))]
+            else:
                 # z -> a*z + const, a = gamma*inv, folds into the matmuls: sum(g*z) =
                 # sum(K * cols^T g); in float32 gamma's term loses digits when z ~ mean.
                 a = gamma.data * inv
-                g_sum = np.einsum("ij->j", g_flat)
-                extra = [inv * ((kmat * g_kernel).sum(axis=0) - mean * g_sum), g_sum]
-                g_kernel = g_kernel * a
-                k_eff = kmat * a
-            g_cols = (g_flat @ k_eff.T).reshape(b, ho, wo, kh, kw, ci)
-            g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
-            g_x = g_xp[:, padding:padding + x.shape[1], padding:padding + x.shape[2]]
-            return [g_x, g_kernel.reshape(kernel.shape)] + extra + [g] * (skip is not None)
+                need_gamma, need_beta = need_extra
+                if need_k or need_gamma:
+                    g_kernel = flat.T @ g_flat
+                if need_gamma or need_beta:
+                    g_sum = np.einsum("ij->j", g_flat)
+                    extra = [inv * ((kmat * g_kernel).sum(axis=0) - mean * g_sum)
+                             if need_gamma else None, g_sum]
+                g_kernel = g_kernel * a if need_k else None
+            if need_x:
+                k_eff = kmat if norm is None else kmat * a
+                g_cols = (g_flat @ k_eff.T).reshape(b, ho, wo, kh, kw, ci)
+                g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
+                g_x = g_xp[:, padding:padding + x.shape[1], padding:padding + x.shape[2]]
+            if g_kernel is not None:
+                g_kernel = g_kernel.reshape(kernel.shape)
+            return [g_x, g_kernel] + extra + [g] * (skip is not None)
 
         tape.record(out, inputs, backward)
     return out
@@ -294,20 +326,24 @@ def channel_affine(x, gamma, beta, mean: np.ndarray, var: np.ndarray, *,
     return out
 
 
-def class_sums(s, window: Optional[Tuple[slice, slice]] = None, *,
+def class_sums(s, mask: Optional[np.ndarray] = None, *,
                tape: Optional[GradTape] = None) -> Tensor:
-    """Sum a (B,H,W,C) score map over its spatial axes -> (B,C). A `window`
-    of (rows, cols) slices sums only that rectangle."""
+    """Sum a (B,H,W,C) score map over its spatial axes -> (B,C). A boolean
+    (B,H,W) `mask` sums only the cells where it is set."""
     s = as_tensor(s)
     if s.data.ndim != 4:
         raise ValueError(f"class_sums expects (B,H,W,C), got shape {s.shape}")
     b, h, w, c = s.shape
-    rows, cols = window or (slice(None), slice(None))
-    out = Tensor(s.data[:, rows, cols].sum(axis=(1, 2)))
+    if mask is not None and mask.shape != (b, h, w):
+        raise ValueError(f"class_sums mask shape {mask.shape} does not match {(b, h, w)}")
+    kept = s.data if mask is None else np.where(mask[..., None], s.data, 0)
+    out = Tensor(kept.sum(axis=(1, 2)))
     if tape is not None:
         def backward(g):
             gs = np.zeros((b, h, w, c), dtype=g.dtype)
-            gs[:, rows, cols] = g[:, None, None, :]
+            gs[...] = g[:, None, None, :]
+            if mask is not None:
+                gs[~mask] = 0
             return (gs,)
 
         tape.record(out, (s,), backward)

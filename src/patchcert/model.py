@@ -19,6 +19,8 @@ from .geometry import LayerGeom, receptive_field
 CHECKPOINT_MAGIC = b"PCKP"
 CHECKPOINT_VERSION = 1
 
+HEADS = ("heaviside_st", "sigmoid", "softmax_channel")  # binary, then the relaxed heads
+
 NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
 
@@ -58,7 +60,7 @@ class NetworkSpec:
     def __post_init__(self):
         if len(self.block_kernels) != len(self.block_strides):
             raise ValueError("block_kernels and block_strides must have equal length")
-        if self.activation not in ("heaviside_st", "sigmoid", "softmax_channel"):
+        if self.activation not in HEADS:
             raise ValueError(f"unknown head activation {self.activation!r}")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")

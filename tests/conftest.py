@@ -118,8 +118,7 @@ def reference_forward(params, spec, x, mode=None, *, tape=None, training=False):
 
 
 def clean_map(params, spec, x):
-    """Score map of one image from a batch-1 forward, as pgd_patch_attack
-    takes it."""
+    """Score map of one image from a batch-1 forward."""
     return model.forward(params, spec, x)[1].data[0]
 
 

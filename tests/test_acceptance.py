@@ -319,10 +319,9 @@ def test_criterion_8_attack_certificate_consistency(desk_run):
     t0 = time.perf_counter()
     successes_on_certified = 0
     adv_correct = 0
-    for i in range(len(images)):
-        config = AttackConfig(patch_h=3, patch_w=3, steps=100, step_size=0.025,
-                              seed=1000 + i)
-        res = pgd_patch_attack(params, spec, images[i], maps[i], int(labels[i]), config)
+    config = AttackConfig(patch_h=3, patch_w=3, steps=100, step_size=0.025, seed=1000)
+    results = pgd_patch_attack(params, spec, images, np.stack(maps), labels, config, rects)
+    for i, res in enumerate(results):  # image i's patch seed is 1000 + i
         adv_correct += int(res.adv_pred == int(labels[i]))
         if batch.certified_sum[i] and res.success:
             successes_on_certified += 1

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchcert import certify
+from patchcert import attack, certify
 from patchcert.attack import (AttackConfig, AttackResult, apply_patch,
                               pgd_patch_attack, select_region_and_target)
 from patchcert.certify import build_integral_image, delta_map
-from patchcert.geometry import (LayerGeom, PatchRegion, dependency_region,
-                                enumerate_regions)
+from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
+                                dependency_region, enumerate_regions)
 from patchcert.model import build_model, cifar_spec, forward
 
 from conftest import clean_map, naive_rect_sum, reference_pgd_patch_attack
@@ -25,6 +25,12 @@ def attack_spec():
 @pytest.fixture(scope="module")
 def attack_params(attack_spec):
     return build_model(attack_spec, seed=1)
+
+
+def attack_one(params, spec, x, s, c_t, config):
+    """pgd_patch_attack on a batch of one image."""
+    (res,) = pgd_patch_attack(params, spec, x[None], s[None], [c_t], config)
+    return res
 
 
 def certified_model(spec):
@@ -145,17 +151,17 @@ class TestPgdAttack:
         s = clean_map(attack_params, attack_spec, x)
         config = AttackConfig(patch_h=3, patch_w=3, steps=1)
         with pytest.raises(ValueError, match="do not match"):
-            pgd_patch_attack(attack_params, attack_spec, x, s[:-1], 0, config)
+            attack_one(attack_params, attack_spec, x, s[:-1], 0, config)
         s[0, 0, 0] = 0.5
         with pytest.raises(ValueError, match="0 or 1"):
-            pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
+            attack_one(attack_params, attack_spec, x, s, 0, config)
 
     def test_deterministic(self, attack_params, attack_spec, rng):
         x = rng.random((12, 12, 1), dtype=np.float32)
         config = AttackConfig(patch_h=3, patch_w=3, steps=5, seed=9)
         s = clean_map(attack_params, attack_spec, x)
-        a = pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
-        b = pgd_patch_attack(attack_params, attack_spec, x, s, 0, config)
+        a = attack_one(attack_params, attack_spec, x, s, 0, config)
+        b = attack_one(attack_params, attack_spec, x, s, 0, config)
         assert np.array_equal(a.patch, b.patch)
         assert np.array_equal(a.adversarial, b.adversarial)
         assert a.loss_trace == b.loss_trace
@@ -163,7 +169,7 @@ class TestPgdAttack:
     def test_patch_containment_bitwise(self, attack_params, attack_spec, rng):
         x = rng.random((12, 12, 1), dtype=np.float32)
         config = AttackConfig(patch_h=3, patch_w=4, steps=4, seed=2)
-        res = pgd_patch_attack(attack_params, attack_spec, x,
+        res = attack_one(attack_params, attack_spec, x,
                                clean_map(attack_params, attack_spec, x), 1, config)
         mask = np.zeros_like(x, dtype=bool)
         mask[res.region.top:res.region.top + 3,
@@ -180,7 +186,7 @@ class TestPgdAttack:
             x = rng.random((12, 12, 1), dtype=np.float32)
             config = AttackConfig(patch_h=3, patch_w=3, steps=3, seed=trial)
             before = certify.validate_score_map(clean_map(attack_params, attack_spec, x))
-            res = pgd_patch_attack(attack_params, attack_spec, x, before, 0, config)
+            res = attack_one(attack_params, attack_spec, x, before, 0, config)
             after = certify.validate_score_map(
                 clean_map(attack_params, attack_spec, res.adversarial))
             dep = dependency_region(res.region, layers, 12, 12)
@@ -197,7 +203,7 @@ class TestPgdAttack:
             s = clean_map(params, attack_spec, x)
             assert certify.certify_sum(s, 0, regions, layers).certified_sum
             config = AttackConfig(patch_h=3, patch_w=3, steps=2, seed=trial)
-            res = pgd_patch_attack(params, attack_spec, x, s, 0, config)
+            res = attack_one(params, attack_spec, x, s, 0, config)
             assert not res.success
             assert res.adv_pred == 0
 
@@ -226,8 +232,9 @@ def placement(region, side):
 
 
 class TestReceptiveFieldCrop:
-    """Each PGD step runs on the patch dilated by rf-1; the full-image loop
-    in conftest is the reference it must reproduce bit for bit."""
+    """Each PGD step runs on a fixed-size crop of the patch dilated by rf-1,
+    shifted inside the image at its edges; the full-image loop in conftest
+    is the reference it must reproduce bit for bit."""
 
     @pytest.mark.parametrize("rf", [5, 7])
     def test_crop_votes_match_full_forward_for_every_region(self, rf, rng):
@@ -237,11 +244,12 @@ class TestReceptiveFieldCrop:
         for region in enumerate_regions(16, 16, 3, 3):
             adv = apply_patch(x, rng.random((3, 3, 2), dtype=np.float32), region)
             full_logits, full_scores = forward(params, spec, adv)
-            top, left = max(region.top - rf + 1, 0), max(region.left - rf + 1, 0)
-            bottom = min(region.top + 3 + rf - 1, 16)
-            right = min(region.left + 3 + rf - 1, 16)
-            crop = replace(spec, input_shape=(bottom - top, right - left, 2))
-            crop_logits, crop_scores = forward(params, crop, adv[top:bottom, left:right])
+            side = min(3 + 2 * (rf - 1), 16)
+            top = min(max(region.top - rf + 1, 0), 16 - side)
+            left = min(max(region.left - rf + 1, 0), 16 - side)
+            crop = replace(spec, input_shape=(side, side, 2))
+            crop_logits, crop_scores = forward(params, crop,
+                                               adv[top:top + side, left:left + side])
             dep = dependency_region(region, layers, 16, 16)
             full = (slice(dep.row_start, dep.row_stop), slice(dep.col_start, dep.col_stop))
             inner = (slice(dep.row_start - top, dep.row_stop - top),
@@ -260,8 +268,8 @@ class TestReceptiveFieldCrop:
                             (side, side, 2), dtype=np.float32)
                         config = AttackConfig(patch_h=ph, patch_w=pw, steps=3,
                                               step_size=0.1, seed=seed)
-                        res = pgd_patch_attack(params, spec, x, clean_map(params, spec, x),
-                                               seed % 3, config)
+                        res = attack_one(params, spec, x, clean_map(params, spec, x),
+                                         seed % 3, config)
                         ref = reference_pgd_patch_attack(params, spec, x, seed % 3, config)
                         assert_matches_reference(res, ref)
                         seen[placement(res.region, side)] += 1
@@ -276,6 +284,66 @@ class TestReceptiveFieldCrop:
         x = np.random.default_rng(seed).random((side, side, 2), dtype=np.float32)
         config = AttackConfig(patch_h=patch[0], patch_w=patch[1], steps=2,
                               step_size=0.1, seed=seed)
-        assert_matches_reference(pgd_patch_attack(params, spec, x, clean_map(params, spec, x),
-                                                  label, config),
+        assert_matches_reference(attack_one(params, spec, x, clean_map(params, spec, x),
+                                            label, config),
                                  reference_pgd_patch_attack(params, spec, x, label, config))
+
+
+def assert_batch_matches_reference(params, spec, x, labels, config):
+    """The batched attack gives image i what the full-image reference gives
+    it alone under patch seed config.seed + i; returns the placements."""
+    maps = forward(params, spec, x)[1].data
+    results = pgd_patch_attack(params, spec, x, maps, labels, config)
+    assert len(results) == len(x)
+    for i, res in enumerate(results):
+        assert_matches_reference(res, reference_pgd_patch_attack(
+            params, spec, x[i], int(labels[i]), replace(config, seed=config.seed + i)))
+    return Counter(placement(res.region, spec.input_shape[0]) for res in results)
+
+
+class TestBatchedAttack:
+    """pgd_patch_attack runs all images in one batch of shifted fixed-size
+    crops; each image must still get exactly its own full-image attack."""
+
+    @pytest.mark.parametrize("rf", [5, 7])
+    def test_mixed_placements_match_reference(self, rf):
+        spec, params = crop_model(rf, 20, seed=1)
+        rng = np.random.default_rng(rf)
+        x = rng.random((12, 20, 20, 2), dtype=np.float32)
+        labels = rng.integers(0, 3, size=12)
+        config = AttackConfig(patch_h=3, patch_w=2, steps=3, step_size=0.1, seed=5)
+        seen = assert_batch_matches_reference(params, spec, x, labels, config)
+        assert min(seen[k] for k in ("corner", "edge", "interior")) > 0, seen
+
+    def test_chunks_keep_image_seeds(self, monkeypatch):
+        spec, params = crop_model(5, 12, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.random((5, 12, 12, 2), dtype=np.float32)
+        maps = forward(params, spec, x)[1].data
+        labels = rng.integers(0, 3, size=5)
+        config = AttackConfig(patch_h=2, patch_w=2, steps=2, step_size=0.1, seed=11)
+        whole = pgd_patch_attack(params, spec, x, maps, labels, config)
+        monkeypatch.setattr(attack, "ATTACK_CHUNK", 2)
+        for a, b in zip(whole, pgd_patch_attack(params, spec, x, maps, labels, config)):
+            assert_matches_reference(a, {f.name: getattr(b, f.name) for f in fields(b)})
+
+    def test_rects_must_match_regions(self, attack_params, attack_spec, rng):
+        x = rng.random((1, 12, 12, 1), dtype=np.float32)
+        maps = forward(attack_params, attack_spec, x)[1].data
+        layers = attack_spec.layer_geom()
+        rects = dependency_rects(enumerate_regions(12, 12, 2, 2), layers, 12, 12)
+        config = AttackConfig(patch_h=3, patch_w=3, steps=1)
+        with pytest.raises(ValueError, match="rectangles"):
+            pgd_patch_attack(attack_params, attack_spec, x, maps, [0], config, rects)
+
+    @settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @given(rf=st.sampled_from([5, 7]), side=st.integers(12, 18),
+           patch=st.sampled_from(CROP_PATCHES), n=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference(self, rf, side, patch, n, seed):
+        spec, params = crop_model(rf, side, seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, side, side, 2), dtype=np.float32)
+        config = AttackConfig(patch_h=patch[0], patch_w=patch[1], steps=2,
+                              step_size=0.1, seed=seed % 1000)
+        assert_batch_matches_reference(params, spec, x, rng.integers(0, 3, size=n), config)

@@ -152,7 +152,7 @@ class TestConditions:
 
     def test_1d_example_generic_certifies(self):
         s, layers, regions = one_d_example()
-        res = certify_generic(s, 0, regions, layers)
+        res = certify_generic(s, 0, regions, dependency_rects(regions, layers, 1, 8))
         assert res.certified_generic
         assert res.margin == 1
 
@@ -208,7 +208,8 @@ class TestConditions:
                            p_other=rng.uniform(0.0, 0.5), c_t=c_t)
             regions = enumerate_regions(7, 7, 2, 2)
             a = certify_sum(s, c_t, regions, layers)
-            b = certify_generic(s, c_t, regions, layers, G_SUM)
+            b = certify_generic(s, c_t, regions, dependency_rects(regions, layers, 7, 7),
+                                G_SUM)
             assert bool(a.certified_sum) == bool(b.certified_generic)
             assert a.margin == b.margin
 
@@ -235,6 +236,16 @@ class TestConditions:
         masks = [np.zeros((3, 3), dtype=bool)]
         assert certify_generic_masks(s, 0, masks).certified_generic
         assert not certify_generic_masks(s, 1, masks).certified_generic
+
+    def test_generic_rejects_rects_of_another_region_set(self):
+        s = np.ones((6, 6, 2), dtype=np.uint8)
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(6, 6, 2, 2)
+        with pytest.raises(ValueError, match="25 regions"):
+            certify_generic(s, 0, regions, dependency_rects(regions[:3], layers, 6, 6))
+        larger = dependency_rects(enumerate_regions(8, 8, 4, 4), layers, 8, 8)
+        with pytest.raises(ValueError, match="exceed"):
+            certify_generic(s, 0, regions, larger)
 
     def test_scale_invariance_of_cheap_condition(self, rng):
         # tiling every delta entry k times and scaling the bound k times
@@ -359,7 +370,8 @@ class TestLabelValidation:
         regions = enumerate_regions(6, 6, 2, 2)
         for call in (lambda: certify_cheap(s, c_t, 4),
                      lambda: certify_sum(s, c_t, regions, layers),
-                     lambda: certify_generic(s, c_t, regions, layers),
+                     lambda: certify_generic(s, c_t, regions,
+                                             dependency_rects(regions, layers, 6, 6)),
                      lambda: certify_generic_masks(s, c_t, [np.ones((6, 6), bool)]),
                      lambda: select_region_and_target(s, c_t, regions, layers)):
             with pytest.raises(ValueError, match="labels"):

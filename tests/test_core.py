@@ -1,9 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from patchcert import core
+from patchcert import core, model
 from patchcert.core import AdamState, GradTape, Tensor, adam_step
 
 from conftest import central_differences, naive_conv2d
@@ -296,3 +297,123 @@ class TestTapeComposition:
         tape.record(total, (sums,), lambda g: (np.broadcast_to(g, sums.data.shape),))
         g = tape.gradients(total, [s])[id(s)]
         assert np.allclose(g, 1.0)
+
+
+def spied_records(monkeypatch, calls):
+    """Wrap every backward recorded from here on, as perfbench's tracer does,
+    so that each call appends (inputs, needs or None, returned gradients)."""
+    record = GradTape.record
+
+    def spy(tape, output, inputs, backward):
+        @functools.wraps(backward)
+        def wrapped(*args):
+            grads = backward(*args)
+            calls.append((tuple(inputs), args[1] if len(args) > 1 else None, list(grads)))
+            return grads
+        record(tape, output, inputs, wrapped)
+
+    monkeypatch.setattr(GradTape, "record", spy)
+
+
+class TestTapeContract:
+    """gradients(loss, wrt) runs only the records on a path from `wrt` and
+    tells needs-aware backwards which inputs need a gradient."""
+
+    @staticmethod
+    def scorer(seed=0):
+        spec = model.cifar_spec(5, input_shape=(9, 9, 2), width=6, classes=3)
+        params = model.build_model(spec, seed)
+        rng = np.random.default_rng(seed)
+        for name, t in params.tensors.items():  # move the norms off their init
+            if not name.endswith((".kernel", ".running_var")):
+                t.data += (0.1 * rng.standard_normal(t.data.shape)).astype(t.data.dtype)
+        return spec, params
+
+    @staticmethod
+    def weighted_total(out, tape, seed=1):
+        weights = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
+        total = Tensor(np.asarray((out.data * weights).sum(), dtype=out.dtype))
+        tape.record(total, (out,), lambda g: (g * weights,))
+        return total
+
+    def test_input_gradient_bitwise_equal_to_full_backward(self, rng):
+        spec, params = self.scorer()
+        x = Tensor(rng.random((3, 9, 9, 2), dtype=np.float32))
+        tape = GradTape()
+        _, scores = model.forward(params, spec, x, "heaviside_st", tape=tape)
+        total = self.weighted_total(core.class_sums(scores, tape=tape), tape)
+        only = tape.gradients(total, [x])[id(x)]
+        full = tape.gradients(total, [x] + list(params.tensors.values()))[id(x)]
+        assert only.dtype == full.dtype and np.array_equal(only, full)
+        assert np.abs(only).max() > 0
+
+    def test_parameter_gradients_never_formed_for_the_input(self, monkeypatch, rng):
+        spec, params = self.scorer()
+        calls = []
+        spied_records(monkeypatch, calls)
+        x = Tensor(rng.random((2, 9, 9, 2), dtype=np.float32))
+        tape = GradTape()
+        _, scores = model.forward(params, spec, x, "heaviside_st", tape=tape)
+        tape.gradients(self.weighted_total(scores, tape), [x])
+        convs = [(inputs, needs, grads) for inputs, needs, grads in calls
+                 if needs is not None]
+        assert len(convs) == 2 + 2 * len(spec.block_kernels)
+        for inputs, needs, grads in convs:
+            assert needs[0] and grads[0] is not None
+            is_param = [any(t is p for p in params.tensors.values()) for t in inputs]
+            assert not any(n for n, p in zip(needs, is_param) if p)
+            assert all(g is None for g, p in zip(grads, is_param) if p)
+
+    def test_training_gradients_bitwise_unchanged(self, monkeypatch, rng):
+        """Parameter gradients are the same bits whether or not the image's
+        gradient is also asked for; when it is not, the stem skips it."""
+        spec, params = self.scorer(2)
+        x = Tensor(rng.random((4, 9, 9, 2), dtype=np.float32))
+        calls = []
+        spied_records(monkeypatch, calls)
+        tape = GradTape()
+        _, scores = model.forward(params, spec, x, "sigmoid", tape=tape, training=True)
+        total = self.weighted_total(core.class_sums(scores, tape=tape), tape)
+        wrt = list(params.trainable_tensors().values())
+        grads = tape.gradients(total, wrt)
+        stem = [c for c in calls if c[0][0] is x]
+        assert len(stem) == 1 and stem[0][1][0] is False and stem[0][2][0] is None
+        with_x = tape.gradients(total, wrt + [x])
+        for t in wrt:
+            assert np.array_equal(grads[id(t)], with_x[id(t)]), t.name
+
+    def test_records_off_the_path_do_not_run(self):
+        x, c = Tensor(np.ones(3)), Tensor(np.full(3, 2.0))
+        seen = []
+
+        def fail(g):
+            raise AssertionError("a record off the path from wrt ran")
+
+        @core.takes_needs
+        def mul(g, needs):
+            seen.append(needs)
+            return (g * c2.data if needs[0] else None, g * x.data if needs[1] else None)
+
+        tape = GradTape()
+        c2 = Tensor(c.data * 3)
+        tape.record(c2, (c,), fail)
+        out = Tensor(x.data * c2.data)
+        tape.record(out, (x, c2), mul)
+        total = Tensor(np.asarray(out.data.sum()))
+        tape.record(total, (out,), lambda g: (np.broadcast_to(g, out.data.shape),))
+        grads = tape.gradients(total, [x])
+        assert seen == [(True, False)]
+        assert np.array_equal(grads[id(x)], np.full(3, 6.0))
+
+    def test_closure_with_keyword_defaults(self):
+        x = Tensor(np.ones(2))
+        out = Tensor(x.data * 2)
+        tape = GradTape()
+
+        def backward(g, scale=2.0, extra=None):
+            return (g * scale,)
+
+        tape.record(out, (x,), backward)
+        total = Tensor(np.asarray(out.data.sum()))
+        tape.record(total, (out,), lambda g: (np.broadcast_to(g, out.data.shape),))
+        assert np.array_equal(tape.gradients(total, [x])[id(x)], np.full(2, 2.0))

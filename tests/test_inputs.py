@@ -58,11 +58,12 @@ CASES = [(cmd, f"{section}.{key}", value)
 @pytest.mark.parametrize("cmd, key, value", CASES,
                          ids=[f"{cmd}:{key}={value}" for cmd, key, value in CASES])
 def test_config_edge_value(checkpoint, tmp_path, capsys, cmd, key, value):
-    """Exit 0, or exit 1 with a config error; exit 2 only for divergence."""
+    """Exit 0, or exit 1 with a config error that names the key; exit 2 only
+    for divergence."""
     args = [cmd, "--out", str(tmp_path / "o")]
     for setting in TINY[cmd] + [f"{key}={value}"]:
         args += ["--set", setting.format(ckpt=checkpoint)]
     code = main(args)
     err = capsys.readouterr().err
-    assert (code == 0 or (code == 1 and "config error:" in err)
+    assert (code == 0 or (code == 1 and "config error:" in err and key in err)
             or (code == 2 and "training diverged" in err)), f"exit {code}: {err}"
