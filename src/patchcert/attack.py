@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,26 +98,27 @@ def _weakest(outside: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.nd
     return lim, gaps[rows, :, lim].argmin(axis=1)
 
 
-# Images per PGD batch, read at each call. On a 2-vCPU Xeon VM (quickstart
-# checkpoint, attack command on 200 images x 10 steps in a fresh process), 8
-# ran 411 image-steps/s at 5x5 and 563 at 3x3. 4 ran about 20% slower, from
-# per-call overhead. 16 to 64 ran 15-30% slower: glibc returned their larger
-# step temporaries to the OS and faulted them in again, about 590k minor page
-# faults per command against 23k.
+# Images per PGD batch, read at each call; measured only at width 64 on a
+# 2-vCPU Xeon VM. At 16x16 inputs and rf5 (quickstart checkpoint, attack
+# command on 200 images x 10 steps in a fresh process), 8 ran 411
+# image-steps/s at 5x5 and 563 at 3x3. 4 ran about 20% slower, from per-call
+# overhead. 16 to 64 ran 15-30% slower: glibc returned their larger step
+# temporaries to the OS and faulted them in again, about 590k minor page
+# faults per command against 23k. At 32x32 inputs (random weights, 64 images
+# x 5 steps at 5x5) 8 already crosses that line: it ran about 10% slower than
+# 4 at rf7 and 20% slower at rf13, with 10-15x the page faults.
 ATTACK_CHUNK = 8
 
 
 def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
-                     clean_maps: np.ndarray, labels, config: AttackConfig,
-                     rects: Optional[Tuple[np.ndarray, ...]] = None) -> List[AttackResult]:
+                     clean_maps: np.ndarray, labels, config: AttackConfig) -> List[AttackResult]:
     """Fixed-region, fixed-target PGD on a batch of (n, h, w, c) images:
     ascend each image's margin-loss objective with respect to its patch
     pixels only, stepping by sign(grad) and clipping to [0,1]. Gradients
     reach the patch through the straight-through head. `clean_maps` are the
-    binary score maps of the images under the same model; `rects` are the
-    dependency rectangles of the patch shape's regions (built when None).
-    Image i's patch starts from seed config.seed + i. Every step runs one
-    taped forward and one backward over all images, ATTACK_CHUNK at a time.
+    binary score maps of the images under the same model. Image i's patch
+    starts from seed config.seed + i. Every step runs one taped forward and
+    one backward over all images, ATTACK_CHUNK at a time.
 
     The patch changes only the votes inside its dependency region R(l), and
     those read only the input within rf-1 pixels of the patch. So each step
@@ -139,10 +140,7 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
                          f"match spec {spec.input_shape} -> {(h_out, w_out, spec.classes)}")
     labels = certify.validate_labels(labels, n, spec.classes)
     regions = geometry.enumerate_regions(h_in, w_in, config.patch_h, config.patch_w)
-    if rects is None:
-        rects = dependency_rects(regions, spec.layer_geom(), h_in, w_in)
-    elif len(rects[0]) != len(regions):
-        raise ValueError(f"{len(rects[0])} dependency rectangles for {len(regions)} regions")
+    rects = dependency_rects(regions, spec.layer_geom(), h_in, w_in)
     factors = _factors(rects, h_out, w_out)
     results: List[AttackResult] = []
     for lo in range(0, n, ATTACK_CHUNK):

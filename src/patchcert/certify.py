@@ -325,14 +325,23 @@ def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
     """Reference path: materialize the worst-case map for every region and
     demand strict dominance of c_t under the aggregator. `rects` are the
     regions' dependency rectangles (from geometry.dependency_rects), as
-    certify_batch takes them. Costs one aggregator evaluation per feasible
-    region."""
+    certify_batch takes them. Like certify_sum and certify_all, it reads the
+    map grid as the input grid (a stride-1 model), where each rectangle
+    contains its own region; rectangles that do not, say those of another
+    patch shape with as many regions, are rejected. Costs one aggregator
+    evaluation per feasible region."""
     s = validate_score_map(s)
-    r0, r1, c0, c1, _ = (v.tolist() for v in rects)
+    r0, r1, c0, c1, _ = rects
     if len(r0) != len(regions):
         raise ValueError(f"{len(r0)} dependency rectangles for {len(regions)} regions")
-    if r0 and (max(r1) > s.shape[0] or max(c1) > s.shape[1]):
+    if len(r0) and (r1.max() > s.shape[0] or c1.max() > s.shape[1]):
         raise ValueError(f"dependency rectangles exceed the {s.shape[:2]} grid")
+    # (-start, stop) per axis: a rectangle contains its region iff no entry is smaller
+    inner = np.array([(-r.top, r.top + r.height, -r.left, r.left + r.width) for r in regions],
+                     dtype=np.int64).reshape(-1, 4)
+    if (np.stack([-r0, r1, -c0, c1], axis=1) < inner).any():
+        raise ValueError("dependency rectangles do not contain their regions")
+    r0, r1, c0, c1 = (v.tolist() for v in (r0, r1, c0, c1))
     slices = [(slice(a, b), slice(c, d)) for a, b, c, d in zip(r0, r1, c0, c1)]
     res, i = _certify_worst_case(s, c_t, slices, g)
     return replace(res, limiting_region=regions[i])

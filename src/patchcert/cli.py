@@ -340,8 +340,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     maps = model.forward_maps(params, spec, images, 128)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
-    results = attack_mod.pgd_patch_attack(params, spec, images, maps, labels, attack_config,
-                                          rects)
+    results = attack_mod.pgd_patch_attack(params, spec, images, maps, labels, attack_config)
 
     rows = []
     for i, res in enumerate(results):

@@ -320,7 +320,7 @@ def test_criterion_8_attack_certificate_consistency(desk_run):
     successes_on_certified = 0
     adv_correct = 0
     config = AttackConfig(patch_h=3, patch_w=3, steps=100, step_size=0.025, seed=1000)
-    results = pgd_patch_attack(params, spec, images, np.stack(maps), labels, config, rects)
+    results = pgd_patch_attack(params, spec, images, np.stack(maps), labels, config)
     for i, res in enumerate(results):  # image i's patch seed is 1000 + i
         adv_correct += int(res.adv_pred == int(labels[i]))
         if batch.certified_sum[i] and res.success:

@@ -10,8 +10,8 @@ from patchcert import attack, certify
 from patchcert.attack import (AttackConfig, AttackResult, apply_patch,
                               pgd_patch_attack, select_region_and_target)
 from patchcert.certify import build_integral_image, delta_map
-from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
-                                dependency_region, enumerate_regions)
+from patchcert.geometry import (LayerGeom, PatchRegion, dependency_region,
+                                enumerate_regions)
 from patchcert.model import build_model, cifar_spec, forward
 
 from conftest import clean_map, naive_rect_sum, reference_pgd_patch_attack
@@ -326,15 +326,6 @@ class TestBatchedAttack:
         monkeypatch.setattr(attack, "ATTACK_CHUNK", 2)
         for a, b in zip(whole, pgd_patch_attack(params, spec, x, maps, labels, config)):
             assert_matches_reference(a, {f.name: getattr(b, f.name) for f in fields(b)})
-
-    def test_rects_must_match_regions(self, attack_params, attack_spec, rng):
-        x = rng.random((1, 12, 12, 1), dtype=np.float32)
-        maps = forward(attack_params, attack_spec, x)[1].data
-        layers = attack_spec.layer_geom()
-        rects = dependency_rects(enumerate_regions(12, 12, 2, 2), layers, 12, 12)
-        config = AttackConfig(patch_h=3, patch_w=3, steps=1)
-        with pytest.raises(ValueError, match="rectangles"):
-            pgd_patch_attack(attack_params, attack_spec, x, maps, [0], config, rects)
 
     @settings(max_examples=15, deadline=None, database=None, derandomize=True)
     @given(rf=st.sampled_from([5, 7]), side=st.integers(12, 18),

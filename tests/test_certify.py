@@ -247,6 +247,17 @@ class TestConditions:
         with pytest.raises(ValueError, match="exceed"):
             certify_generic(s, 0, regions, larger)
 
+    def test_generic_rejects_rects_of_the_transposed_patch(self):
+        # 2x3 and 3x2 patches both have 210 placements on a 16x16 grid
+        s = np.ones((16, 16, 2), dtype=np.uint8)
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(16, 16, 2, 3)
+        transposed = dependency_rects(enumerate_regions(16, 16, 3, 2), layers, 16, 16)
+        assert len(transposed[0]) == len(regions) == 210
+        with pytest.raises(ValueError, match="contain"):
+            certify_generic(s, 0, regions, transposed)
+        certify_generic(s, 0, regions, dependency_rects(regions, layers, 16, 16))
+
     def test_scale_invariance_of_cheap_condition(self, rng):
         # tiling every delta entry k times and scaling the bound k times
         # cannot change the decision
