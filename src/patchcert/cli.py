@@ -2,7 +2,8 @@
 
 Configs are INI files (section.key), overridable with repeated --set flags;
 precedence is CLI > file > defaults. Every run writes a manifest.json with the
-fully resolved configuration.
+fully resolved configuration when it starts, and adds its end time, duration,
+exit code and minor page faults when it ends.
 
 `main` is the one input boundary: any ValueError (the error type of every
 loader, config dataclass and certification check) exits 1 with "config
@@ -451,19 +452,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    manifest = None
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = resolve_config(args.config, args.set)
         os.makedirs(args.out, exist_ok=True)
-        runio.write_manifest(args.out, args.cmd, config, args.seed)
-        return COMMANDS[args.cmd](args.out, config, args.seed)
+        manifest = runio.write_manifest(args.out, args.cmd, config, args.seed)
+        code = COMMANDS[args.cmd](args.out, config, args.seed)
     except ValueError as e:  # every input check, ConfigError included
         print(f"config error: {e}", file=sys.stderr)
-        return 1
+        code = 1
     except Exception as e:  # declared runtime failures and unexpected faults
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        code = 2
+    if manifest is not None:
+        try:
+            manifest.finish(code)
+        except OSError as e:
+            print(f"error: cannot rewrite the manifest: {e}", file=sys.stderr)
+            code = code or 2
+    return code
 
 
 if __name__ == "__main__":

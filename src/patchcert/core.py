@@ -4,6 +4,8 @@ are provided; this is not a general autodiff engine."""
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -56,7 +58,12 @@ class GradTape:
     A backward closure takes the output gradient and returns one gradient
     array (or None) per input, aligned positionally. One marked with
     `takes_needs` also gets a per-input bool tuple saying which inputs need a
-    gradient, and may return None for the others."""
+    gradient, and may return None for the others.
+
+    A `conv2d` record made with a `Workspace` keeps views of its buffers: its
+    backward reads the conv's output z and im2col matrix from there. One
+    workspace serves one tape at a time, because the next forward through it
+    overwrites them; so `gradients` must run before that forward."""
 
     def __init__(self):
         self._records: List[Tuple[Tensor, Tuple[Tensor, ...], Callable]] = []
@@ -73,16 +80,21 @@ class GradTape:
         A forward sweep first marks the tensors on a path from `wrt`; only
         records whose output is marked run, and only marked inputs take a
         gradient. Tensors in `wrt` that did not influence the loss map to None.
+        An intermediate gradient is dropped as soon as its record's backward
+        has run; only the gradients of `wrt` are kept to the end.
         """
         wrt = list(wrt)
-        on_path = {id(t) for t in wrt}
+        keep = {id(t) for t in wrt}
+        on_path = set(keep)
         for output, inputs, _ in self._records:
             if any(id(t) in on_path for t in inputs):
                 on_path.add(id(output))
         grads: Dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for output, inputs, backward in reversed(self._records):
-            g_out = grads.get(id(output))
-            if g_out is None or id(output) not in on_path:
+            if id(output) not in on_path:
+                continue
+            g_out = grads.get(id(output)) if id(output) in keep else grads.pop(id(output), None)
+            if g_out is None:
                 continue
             needs = tuple(id(t) in on_path for t in inputs)
             in_grads = (backward(g_out, needs) if getattr(backward, "takes_needs", False)
@@ -104,13 +116,45 @@ def takes_needs(backward: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Gather kernel windows of a padded (B,H,W,C) array into
-    (B,Ho,Wo,kh,kw,C)."""
-    b, h, w, c = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    cols = np.empty((b, ho, wo, kh, kw, c), dtype=xp.dtype)
+class Workspace:
+    """Large arrays that a repeated training step writes in place instead of
+    allocating them afresh every step (see `conv2d` for which ones).
+
+    A buffer is keyed either by a layer name and role, for what that layer's
+    backward reads, or by a role and per-example shape, for a temporary that
+    every layer of that shape shares. Each buffer holds the largest batch
+    asked for so far, and a smaller batch gets a prefix view of it. Buffers
+    are anonymous mmap memory, so holding them leaves the malloc heap as it
+    was; dropping the workspace unmaps them once no view is left.
+
+    One workspace serves one tape at a time: the next forward overwrites what
+    the previous backward read, so a step's backward must run before the
+    next step's forward."""
+
+    def __init__(self):
+        self._buffers: Dict[tuple, np.ndarray] = {}
+
+    def take(self, key: tuple, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous array of `shape` in the buffer named `key`; its
+        contents are whatever was written there last."""
+        dtype = np.dtype(dtype)
+        n = math.prod(shape)
+        buf = self._buffers.get((key, dtype))
+        if buf is None or buf.size < n:
+            buf = np.frombuffer(mmap.mmap(-1, max(n, 1) * dtype.itemsize), dtype=dtype)
+            self._buffers[(key, dtype)] = buf
+        return buf[:n].reshape(shape)
+
+
+def _buffer(ws: Optional[Workspace], key: tuple, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized array: from the workspace if there is one, else new."""
+    return np.empty(shape, dtype=dtype) if ws is None else ws.take(key, shape, dtype)
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray) -> np.ndarray:
+    """Gather kernel windows of a padded (B,H,W,C) array into the given
+    (B,Ho,Wo,kh,kw,C) buffer."""
+    ho, wo = cols.shape[1:3]
     for di in range(kh):
         for dj in range(kw):
             cols[:, :, :, di, dj, :] = xp[:, di:di + ho * stride:stride,
@@ -133,7 +177,8 @@ def _col2im(gcols: np.ndarray, padded_shape: Tuple[int, ...], stride: int) -> np
 def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
            norm: Optional[tuple] = None, skip=None, relu: bool = False,
            momentum: Optional[float] = None, eps: float = 1e-5,
-           tape: Optional[GradTape] = None) -> Tensor:
+           tape: Optional[GradTape] = None, ws: Optional[Workspace] = None,
+           layer: Optional[str] = None) -> Tensor:
     """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel
     (output size floor((in + 2*padding - k)/stride) + 1 per axis), then optionally
     a norm, a residual add of `skip` and a ReLU in place, under one tape record.
@@ -142,6 +187,16 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
     inv = 1/sqrt(var + eps), as `channel_affine` does; mean/var are constants
     for the gradient. With `momentum`, z's batch statistics then move the
     mean/var arrays in place, after the forward and backward took their values.
+
+    With a workspace `ws`, the large arrays are written into it instead of
+    being allocated: under the name `layer`, the output z (so the returned
+    tensor's data lives there) and the im2col matrix, which the backward
+    reads; shared by every conv of the same shape, the padded input and the
+    column gradient of the backward's im2col path, which are temporaries.
+    The float64 statistics copy, the col2im target, the ReLU-masked gradient
+    (which is also the skip's gradient) and every other returned gradient
+    are allocated as usual. The outputs and gradients are the same bits with
+    or without a workspace.
     """
     x, kernel, bias, skip = map(as_tensor, (x, kernel, bias, skip))
     if x.data.ndim != 4:
@@ -164,13 +219,24 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
     wo = (x.shape[2] + 2 * padding - kw) // stride + 1
     if skip is not None and skip.shape != (b, ho, wo, co):
         raise ValueError(f"skip shape {skip.shape} does not match the output {(b, ho, wo, co)}")
+    if ws is not None and layer is None:
+        raise ValueError("conv2d with a workspace needs a layer name")
 
     direct = kh == 1 and stride == 1  # the (padded) input already is the column matrix
-    xp = np.pad(x.data, ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0))) if padding else x.data
-    flat = (xp if direct else _im2col(xp, kh, kw, stride)).reshape(-1, kh * kw * ci)
-    xp_shape = xp.shape  # the backward keeps the shape, not the padded copy
+    h, w, p = x.shape[1], x.shape[2], padding
+    xp_shape = (b, h + 2 * p, w + 2 * p, ci)  # the backward keeps the shape, not the padded copy
+    cols_shape = (b, ho, wo, kh, kw, ci)
+    xp = x.data
+    if p:
+        xp = _buffer(ws, (layer, "cols") if direct else ("pad", xp_shape[1:]), xp_shape, x.dtype)
+        xp[:, :p] = xp[:, p + h:] = xp[:, p:p + h, :p] = xp[:, p:p + h, p + w:] = 0
+        xp[:, p:p + h, p:p + w] = x.data
+    cols = xp if direct else _im2col(xp, kh, kw, stride,
+                                     _buffer(ws, (layer, "cols"), cols_shape, xp.dtype))
+    flat = cols.reshape(-1, kh * kw * ci)
     kmat = kernel.data.reshape(kh * kw * ci, co)
-    z = flat @ kmat
+    z = np.matmul(flat, kmat, out=_buffer(ws, (layer, "z"), (len(flat), co),
+                                          np.result_type(flat, kmat)))
     if bias is not None:
         z = z + bias.data
     if norm is not None:
@@ -226,9 +292,13 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
                 g_kernel = g_kernel * a if need_k else None
             if need_x:
                 k_eff = kmat if norm is None else kmat * a
-                g_cols = (g_flat @ k_eff.T).reshape(b, ho, wo, kh, kw, ci)
+                # On the direct path the column gradient is the input gradient
+                # returned to the tape, so it never comes from a shared buffer.
+                g_cols = _buffer(None if direct else ws, ("gcols", cols_shape[1:]), cols_shape,
+                                 np.result_type(g_flat, k_eff))
+                np.matmul(g_flat, k_eff.T, out=g_cols.reshape(len(g_flat), -1))
                 g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
-                g_x = g_xp[:, padding:padding + x.shape[1], padding:padding + x.shape[2]]
+                g_x = g_xp[:, p:p + h, p:p + w]
             if g_kernel is not None:
                 g_kernel = g_kernel.reshape(kernel.shape)
             return [g_x, g_kernel] + extra + [g] * (skip is not None)

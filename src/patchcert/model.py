@@ -183,10 +183,12 @@ def build_model(spec: NetworkSpec, seed: int) -> Parameters:
 
 
 def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None,
-            *, tape: Optional[GradTape] = None,
-            training: bool = False) -> Tuple[Tensor, Tensor]:
+            *, tape: Optional[GradTape] = None, training: bool = False,
+            ws: Optional[core.Workspace] = None) -> Tuple[Tensor, Tensor]:
     """One pass: returns (logit map, score map). The score map is binary for
-    the heaviside_st head and lies in [0,1] for the relaxed heads."""
+    the heaviside_st head and lies in [0,1] for the relaxed heads. Every conv
+    writes its large arrays into the workspace `ws` under its layer name, if
+    one is given (see `core.Workspace` for how long they stay valid)."""
     mode = mode or spec.activation
     x = core.as_tensor(x)
     data = x.data
@@ -211,13 +213,13 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
                  t[norm + ".running_var"].data)
         return core.conv2d(inp, t[conv + ".kernel"], padding=k // 2, norm=stats, skip=skip,
                            relu=True, momentum=NORM_MOMENTUM if training else None,
-                           eps=NORM_EPS, tape=tape)
+                           eps=NORM_EPS, tape=tape, ws=ws, layer=conv)
 
     h = conv_norm_relu(x, "stem", "stem.norm", spec.stem_kernel)
     for i, k in enumerate(spec.block_kernels):
         y = conv_norm_relu(h, f"block{i}.conv1", f"block{i}.norm1", k)
         h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1, skip=h)
-    logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape)
+    logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape, ws=ws, layer="head")
     scores = core.activation(logits, mode, tape=tape)
     return logits, scores
 

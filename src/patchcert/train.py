@@ -276,6 +276,7 @@ def train(config: TrainConfig, dataset: DatasetHandle,
         lr = 0.0
         perm = shuffle_rng.permutation(train_idx)
         diverged = False
+        ws = core.Workspace()  # the epoch's steps reuse its buffers
         for lo in range(0, len(perm), config.batch_size):
             idx = perm[lo:lo + config.batch_size]
             if config.augment:
@@ -283,31 +284,15 @@ def train(config: TrainConfig, dataset: DatasetHandle,
                                   for i in idx])
             else:
                 batch = dataset.images[idx]
-            labels = dataset.labels[idx]
-
-            tape = GradTape()
-            _, scores = model.forward(params, spec, batch, config.activation,
-                                      tape=tape, training=True)
-            sums = core.class_sums(scores, tape=tape)
-            dsum = delta_sums(sums, labels, area, tape=tape)
-            loss = total_loss(dsum, _normalized_sums(sums, area, tape),
-                              labels, config, tape=tape)
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
+            lr = lr_schedule(step, total_steps, warmup_steps, config.lr)
+            loss_val = _train_step(params, spec, state, batch, dataset.labels[idx],
+                                   area, config, lr, ws)
+            if loss_val is None:
                 diverged = True
                 break
             epoch_losses.append(loss_val)
-
-            grads = tape.gradients(loss, params.trainable_tensors().values())
-            named = {name: grads.get(id(t))
-                     for name, t in params.trainable_tensors().items()}
-            lr = lr_schedule(step, total_steps, warmup_steps, config.lr)
-            try:
-                adam_step(params.trainable_tensors(), named, state, lr)
-            except ValueError:
-                diverged = True
-                break
             step += 1
+        del ws  # unmapped before the eval forward allocates its own arrays
 
         if diverged:
             metrics.diverged = True
@@ -325,6 +310,32 @@ def train(config: TrainConfig, dataset: DatasetHandle,
         last_good_step = step
 
     return TrainResult(params=params, spec=spec, metrics=metrics, step=step)
+
+
+def _train_step(params: Parameters, spec: NetworkSpec, state: AdamState, batch: np.ndarray,
+                labels: np.ndarray, area: int, config: TrainConfig, lr: float,
+                ws: core.Workspace) -> Optional[float]:
+    """One forward, backward and Adam update; returns the batch loss, or None
+    if the loss or a gradient is not finite (no parameter is then touched).
+    The tape and the gradients end with the call, and with them every view
+    of the workspace that the next step overwrites."""
+    tape = GradTape()
+    _, scores = model.forward(params, spec, batch, config.activation,
+                              tape=tape, training=True, ws=ws)
+    sums = core.class_sums(scores, tape=tape)
+    dsum = delta_sums(sums, labels, area, tape=tape)
+    loss = total_loss(dsum, _normalized_sums(sums, area, tape), labels, config, tape=tape)
+    loss_val = float(loss.data)
+    if not math.isfinite(loss_val):
+        return None
+    trainable = params.trainable_tensors()
+    grads = tape.gradients(loss, trainable.values())
+    try:
+        adam_step(trainable, {name: grads.get(id(t)) for name, t in trainable.items()},
+                  state, lr)
+    except ValueError:
+        return None
+    return loss_val
 
 
 def _normalized_sums(sums: Tensor, area: int, tape: Optional[GradTape]) -> Tensor:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import patchcert
-from patchcert import certify, model
+from patchcert import certify, model, runio
 from patchcert.cli import ConfigError, main, resolve_config
 from patchcert.core import Tensor
 from patchcert.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, encode_records
@@ -72,6 +72,47 @@ class TestTrainCommand:
         assert manifest["seed"] == 0
         assert manifest["config"]["train"]["epochs"] == 2
         assert manifest["manifest_version"] == 1
+        assert manifest["exit_code"] == 0
+        assert manifest["end_timestamp"] >= manifest["timestamp"]
+        assert manifest["duration_s"] > 0
+        assert isinstance(manifest["minor_page_faults"], int)
+        assert manifest["minor_page_faults"] >= 0
+
+    def test_manifest_records_exit_1(self, trained_run, tmp_path):
+        """An input check that fails after the manifest was written still
+        ends it with the exit code, and leaves no other file."""
+        out = tmp_path / "o"
+        code = main(["certify", "--out", str(out),
+                     "--set", f"certify.checkpoint={trained_run}/checkpoint.pckp",
+                     "--set", "certify.condition=4"])
+        assert code == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == "certify"
+        assert manifest["exit_code"] == 1
+        assert manifest["duration_s"] >= 0
+        assert {"end_timestamp", "minor_page_faults"} <= set(manifest)
+
+    def test_manifest_without_resource_module(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runio, "resource", None)
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out), "--set", "train.margin=0"]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 1
+        assert "minor_page_faults" not in manifest
+
+    def test_manifest_rewrite_failure_exit_2(self, tmp_path, monkeypatch, capsys):
+        def fail(self, exit_code):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runio.RunManifest, "finish", fail)
+        bench = ["bench", "--out", str(tmp_path / "o"), "--set", "bench.n_maps=2",
+                 "--set", "bench.height=8", "--set", "bench.width=8",
+                 "--set", "bench.patch=3x3", "--set", "bench.small_patch=2x2",
+                 "--set", "bench.repetitions=1"]
+        assert main(bench) == 2
+        assert "cannot rewrite the manifest: disk full" in capsys.readouterr().err
+        assert main(["train", "--out", str(tmp_path / "t"), "--set", "train.margin=0"]) == 1
 
     def test_missing_dataset_path_exit_1(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "o"),

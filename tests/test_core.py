@@ -417,3 +417,99 @@ class TestTapeContract:
         total = Tensor(np.asarray(out.data.sum()))
         tape.record(total, (out,), lambda g: (np.broadcast_to(g, out.data.shape),))
         assert np.array_equal(tape.gradients(total, [x])[id(x)], np.full(2, 2.0))
+
+    def test_intermediate_in_wrt_keeps_its_gradient(self, rng):
+        """A hidden activation asked for in `wrt` keeps its gradient, summed
+        over both of its consumers, although intermediate gradients are
+        dropped once their record's backward has run."""
+        x = Tensor(rng.standard_normal((2, 5, 5, 3)))
+        k1 = Tensor(rng.standard_normal((3, 3, 3, 4)))
+        k2 = Tensor(rng.standard_normal((1, 1, 4, 4)))
+
+        def tail(hidden, tape):
+            out = core.conv2d(hidden, k2, skip=hidden, relu=True, tape=tape)
+            return self.weighted_total(out, tape)
+
+        tape = GradTape()
+        hidden = core.conv2d(x, k1, padding=1, relu=True, tape=tape)
+        grads = tape.gradients(tail(hidden, tape), [x, hidden])
+        leaf = Tensor(hidden.data.copy())
+        leaf_tape = GradTape()
+        want = leaf_tape.gradients(tail(leaf, leaf_tape), [leaf])[id(leaf)]
+        assert np.array_equal(grads[id(hidden)], want)
+        assert np.abs(want).max() > 0 and grads[id(x)] is not None
+
+
+class TestWorkspace:
+    """conv2d and the model write into a workspace the same bits they compute
+    without one, across batch sizes that shrink and grow again."""
+
+    BATCHES = (32, 8, 32)
+
+    @staticmethod
+    def three_convs(x, skip, p, stats, weights, ws):
+        """A padded 3x3 conv, a direct 1x1 conv with a skip, both normed with
+        momentum, and a direct 1x1 conv with a bias; then the gradients of
+        every input and of the hidden activation between the 1x1 convs."""
+        tape = GradTape()
+        a = core.conv2d(x, p["ka"], padding=1, norm=(p["ga"], p["ba"], *stats[:2]),
+                        relu=True, momentum=0.1, tape=tape, ws=ws, layer="a")
+        hidden = core.conv2d(a, p["kb"], norm=(p["gb"], p["bb"], *stats[2:]), skip=skip,
+                             relu=True, momentum=0.1, tape=tape, ws=ws, layer="b")
+        out = core.conv2d(hidden, p["kc"], p["bc"], tape=tape, ws=ws, layer="c")
+        total = Tensor(np.asarray((out.data * weights).sum(), dtype=out.dtype))
+        tape.record(total, (out,), lambda g: (g * weights,))
+        wrt = [x, skip, hidden] + list(p.values())
+        grads = tape.gradients(total, wrt)
+        return [a.data, hidden.data, out.data] + [grads[id(t)] for t in wrt]
+
+    def test_conv2d_matches_without_workspace(self, rng):
+        ci, c = 3, 8
+        p = {"ka": rng.standard_normal((3, 3, ci, c)), "kb": rng.standard_normal((1, 1, c, c)),
+             "ga": 1 + 0.1 * rng.standard_normal(c), "ba": 0.1 * rng.standard_normal(c),
+             "gb": 1 + 0.1 * rng.standard_normal(c), "bb": 0.1 * rng.standard_normal(c),
+             "kc": rng.standard_normal((1, 1, c, c)), "bc": rng.standard_normal(c)}
+        p = {n: Tensor(v.astype(np.float32)) for n, v in p.items()}
+        stats = [np.zeros(c, np.float32), np.ones(c, np.float32),
+                 np.zeros(c, np.float32), np.ones(c, np.float32)]
+        ref_stats = [s.copy() for s in stats]
+        ws = core.Workspace()
+        first_a = None
+        for b in self.BATCHES:
+            x = Tensor(rng.random((b, 6, 6, ci), dtype=np.float32))
+            skip = Tensor(rng.standard_normal((b, 6, 6, c)).astype(np.float32))
+            weights = rng.standard_normal((b, 6, 6, c)).astype(np.float32)
+            got = self.three_convs(x, skip, p, stats, weights, ws)
+            want = self.three_convs(x, skip, p, ref_stats, weights, None)
+            for g, w in zip(got + stats, want + ref_stats):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            if first_a is None:
+                first_a = got[0]
+            assert np.shares_memory(got[0], first_a)  # the 8-batch reuses the 32-batch's buffer
+
+    def test_model_forward_matches_without_workspace(self, rng):
+        spec = model.cifar_spec(7, input_shape=(9, 9, 2), width=6, classes=3)
+        params = model.build_model(spec, 3)
+        for name, t in params.tensors.items():  # move the norms off their init
+            if not name.endswith((".kernel", ".running_var")):
+                t.data += (0.1 * rng.standard_normal(t.data.shape)).astype(t.data.dtype)
+        ref_params = params.copy()
+        ws = core.Workspace()
+        for b in (4, 2, 4):
+            x = rng.random((b, 9, 9, 2), dtype=np.float32)
+            results = []
+            for prm, w in ((params, ws), (ref_params, None)):
+                tape = GradTape()
+                logits, scores = model.forward(prm, spec, x, "sigmoid", tape=tape,
+                                               training=True, ws=w)
+                total = TestTapeContract.weighted_total(core.class_sums(scores, tape=tape), tape)
+                wrt = list(prm.trainable_tensors().values())
+                grads = tape.gradients(total, wrt)
+                results.append([logits.data, scores.data] + [grads[id(t)] for t in wrt]
+                               + [t.data for t in prm.tensors.values()])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_workspace_needs_a_layer_name(self):
+        with pytest.raises(ValueError, match="layer name"):
+            core.conv2d(np.zeros((1, 3, 3, 1)), np.ones((1, 1, 1, 1)), ws=core.Workspace())
