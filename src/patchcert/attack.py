@@ -98,15 +98,15 @@ def _weakest(outside: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.nd
     return lim, gaps[rows, :, lim].argmin(axis=1)
 
 
-# Images per PGD batch, read at each call; measured only at width 64 on a
-# 2-vCPU Xeon VM. At 16x16 inputs and rf5 (quickstart checkpoint, attack
-# command on 200 images x 10 steps in a fresh process), 8 ran 411
-# image-steps/s at 5x5 and 563 at 3x3. 4 ran about 20% slower, from per-call
-# overhead. 16 to 64 ran 15-30% slower: glibc returned their larger step
-# temporaries to the OS and faulted them in again, about 590k minor page
-# faults per command against 23k. At 32x32 inputs (random weights, 64 images
-# x 5 steps at 5x5) 8 already crosses that line: it ran about 10% slower than
-# 4 at rf7 and 20% slower at rf13, with 10-15x the page faults.
+# Images per PGD batch, read at each call; measured at width 64 with a 5x5
+# patch on a 2-vCPU Xeon VM: pgd_patch_attack in a fresh process, medians
+# of 3 runs in image-steps/s for 4 / 8 / 16. 16x16 inputs at rf5 (quickstart
+# checkpoint, 200 images x 10 steps): 720 / 868 / 1020. 32x32 at rf7
+# (random weights, 64 images x 5 steps): 368 / 390 / 414. 32x32 at rf13:
+# 81 / 81 / 81. With the shrinking windows page faults no longer decide the
+# order at rf5 and rf7 (1.2k-6.6k per run, growing with the chunk); at rf13
+# 8 faults least (12k against 32k and 44k) but runs no faster. 16 does not
+# win at rf13, so the value stays 8.
 ATTACK_CHUNK = 8
 
 
@@ -122,13 +122,18 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
 
     The patch changes only the votes inside its dependency region R(l), and
     those read only the input within rf-1 pixels of the patch. So each step
-    runs on a crop: the objective is the clean votes outside R(l), which are
-    fixed, plus the crop's votes inside R(l). Every crop has the same size,
-    min(patch + 2(rf-1), input) per axis, so the images stack into one batch;
-    near an image edge the window shifts inside the image instead of being
-    clipped. Each crop edge is then an image edge or lies rf-1 pixels or more
-    from the patch, so every output in R(l) lies rf//2 pixels or more inside
-    an interior crop edge and sees exactly what it sees in the full image."""
+    runs on a window: the objective is the clean votes outside R(l), which
+    are fixed, plus the window's votes inside R(l). Each image is zero-padded
+    by rf-1 and cut to the patch dilated by rf-1, so every window has the
+    same size and holds its patch at the same offset, and the images stack
+    into one batch. The model runs on the windows with a per-image mask of
+    the cells in the image (`model.forward`'s `inside`): every conv is
+    unpadded, so the window shrinks per layer to the positions later layers
+    read and ends as the patch dilated by rf//2, whose cells in the image
+    are R(l); cells outside the image are zeroed before every spatial conv.
+    The votes inside R(l), and so the loss and the patch gradient, are the
+    bits a full-image step gives. The final prediction adds the votes of
+    one more such forward to the fixed outside votes."""
     images = np.asarray(images, dtype=np.float32)
     clean_maps = certify.validate_score_map(clean_maps, 4)
     n = len(images)
@@ -140,20 +145,17 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
                          f"match spec {spec.input_shape} -> {(h_out, w_out, spec.classes)}")
     labels = certify.validate_labels(labels, n, spec.classes)
     regions = geometry.enumerate_regions(h_in, w_in, config.patch_h, config.patch_w)
-    rects = dependency_rects(regions, spec.layer_geom(), h_in, w_in)
-    factors = _factors(rects, h_out, w_out)
+    factors = _factors(dependency_rects(regions, spec.layer_geom(), h_in, w_in), h_out, w_out)
     results: List[AttackResult] = []
     for lo in range(0, n, ATTACK_CHUNK):
         part = slice(lo, lo + ATTACK_CHUNK)
         results += _attack_batch(params, spec, images[part], clean_maps[part], labels[part],
-                                 replace(config, seed=config.seed + lo), regions, rects,
-                                 factors)
+                                 replace(config, seed=config.seed + lo), regions, factors)
     return results
 
 
 def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np.ndarray,
                   labels: np.ndarray, config: AttackConfig, regions: Sequence[PatchRegion],
-                  rects: Tuple[np.ndarray, ...],
                   factors: certify.IntervalFactors) -> List[AttackResult]:
     """pgd_patch_attack on one batch of checked inputs."""
     n = len(x)
@@ -162,26 +164,26 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
     rows = np.arange(n)
     total, outside = certify.outside_sums(maps, factors)
     lim, target = _weakest(outside, labels)
-    # (n, C) votes the patch cannot move
-    fixed = Tensor(outside[rows, :, lim].astype(np.float32))
+    outside = outside[rows, :, lim]  # (n, C) votes the patch cannot move
+    fixed = Tensor(outside.astype(np.float32))
 
     ph, pw = config.patch_h, config.patch_w
     reach = geometry.receptive_field(spec.layer_geom(), h_in, w_in).rf_h - 1
-    ch, cw = min(ph + 2 * reach, h_in), min(pw + 2 * reach, w_in)
-    p_top = np.array([regions[k].top for k in lim])
-    p_left = np.array([regions[k].left for k in lim])
-    top = np.clip(p_top - reach, 0, h_in - ch)
-    left = np.clip(p_left - reach, 0, w_in - cw)
-    crops = np.stack([x[i, t:t + ch, l:l + cw] for i, t, l in zip(rows, top, left)])
-    crop_spec = replace(spec, input_shape=(ch, cw, c_in))
-    # the patch pixels of each crop, as an index of the (n, ch, cw, c) stack
-    at = (rows[:, None, None], (p_top - top)[:, None, None] + np.arange(ph)[:, None],
-          (p_left - left)[:, None, None] + np.arange(pw))
-    # stride 1: output (i, j) sits on pixel (i, j), so R(l) shifts with the crop
-    r0, r1, c0, c1 = (v[lim][:, None] for v in rects[:4])
-    in_rows, in_cols = np.arange(ch) + top[:, None], np.arange(cw) + left[:, None]
-    window = (((in_rows >= r0) & (in_rows < r1))[:, :, None]
-              & ((in_cols >= c0) & (in_cols < c1))[:, None, :])
+    # window rows and columns in the coordinates of the image padded by reach
+    win_rows = np.array([regions[k].top for k in lim])[:, None] + np.arange(ph + 2 * reach)
+    win_cols = np.array([regions[k].left for k in lim])[:, None] + np.arange(pw + 2 * reach)
+    padded = np.pad(x, ((0, 0), (reach, reach), (reach, reach), (0, 0)))
+    windows = padded[rows[:, None, None], win_rows[:, :, None], win_cols[:, None, :]]
+    inside = (((win_rows >= reach) & (win_rows < reach + h_in))[:, :, None]
+              & ((win_cols >= reach) & (win_cols < reach + w_in))[:, None, :])
+    # the output window's cells in the image: R(l)
+    votes = inside[:, reach // 2:-(reach // 2), reach // 2:-(reach // 2)]
+    at = (slice(None), slice(reach, reach + ph), slice(reach, reach + pw))
+
+    def patched(patch: np.ndarray) -> np.ndarray:
+        out = windows.copy()
+        out[at] = patch
+        return out
 
     patch = np.stack([np.random.default_rng(config.seed + i).random((ph, pw, c_in),
                                                                    dtype=np.float32)
@@ -189,12 +191,10 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
     area = float(h_out * w_out)
     trace = np.empty((config.steps, n), dtype=np.float32)
     for step in range(config.steps):
-        adv_data = crops.copy()
-        adv_data[at] = patch
-        adv = Tensor(adv_data)
+        adv = Tensor(patched(patch))
         tape = GradTape()
-        _, scores = model.forward(params, crop_spec, adv, "heaviside_st", tape=tape)
-        sums = core.add(fixed, core.class_sums(scores, window, tape=tape), tape=tape)
+        _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape, inside=inside)
+        sums = core.add(fixed, core.class_sums(scores, votes, tape=tape), tape=tape)
         loss = _target_margin_loss(sums, labels, target, area, config.margin, tape)
         trace[step] = loss.data
         g = tape.gradients(loss, [adv])[id(adv)]
@@ -204,16 +204,17 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
             raise RuntimeError(f"attack gradient became non-finite at step {step}")
         patch = np.clip(patch + config.step_size * np.sign(g[at]), 0.0, 1.0).astype(np.float32)
 
-    adversarial = np.stack([apply_patch(x[i], patch[i], regions[k]) for i, k in enumerate(lim)])
-    _, adv_scores = model.forward(params, spec, adversarial, "heaviside_st")
+    _, adv_scores = model.forward(params, spec, patched(patch), "heaviside_st", inside=inside)
+    adv_votes = certify.validate_score_map(adv_scores.data, 4) * votes[..., None]
+    adv_preds = (outside + adv_votes.sum(axis=(1, 2), dtype=np.int64)).argmax(axis=1)
     results = []
     for i, k in enumerate(lim):
-        adv_pred, _ = certify.classify(adv_scores.data[i])
+        adv_pred = int(adv_preds[i])
         results.append(AttackResult(
             region=regions[k], target=int(target[i]), patch=patch[i],
-            adversarial=adversarial[i], success=bool(adv_pred != labels[i]),
-            clean_pred=int(total[i].argmax()), adv_pred=adv_pred,
-            loss_trace=trace[:, i].tolist(), steps_used=config.steps))
+            adversarial=apply_patch(x[i], patch[i], regions[k]),
+            success=bool(adv_pred != labels[i]), clean_pred=int(total[i].argmax()),
+            adv_pred=adv_pred, loss_trace=trace[:, i].tolist(), steps_used=config.steps))
     return results
 
 

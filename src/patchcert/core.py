@@ -373,6 +373,40 @@ def add(a, b, *, tape: Optional[GradTape] = None) -> Tensor:
     return out
 
 
+def zero_outside(x, mask: np.ndarray, *, tape: Optional[GradTape] = None) -> Tensor:
+    """A (B,H,W,C) tensor with the cells outside the boolean (B,H,W) `mask`
+    set to 0; the backward masks the gradient the same way."""
+    x = as_tensor(x)
+    if mask.shape != x.shape[:3]:
+        raise ValueError(f"zero_outside mask shape {mask.shape} does not match {x.shape[:3]}")
+    keep = mask[..., None]
+    out = Tensor(np.where(keep, x.data, 0))
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (np.where(keep, g, 0),))
+    return out
+
+
+def center_crop(x, margin: int, *, tape: Optional[GradTape] = None) -> Tensor:
+    """The centre of a (B,H,W,C) tensor without `margin` cells on each side;
+    the backward zero-pads the gradient back. A margin of 0 returns x."""
+    x = as_tensor(x)
+    if margin == 0:
+        return x
+    b, h, w, c = x.shape
+    if not 0 < 2 * margin < min(h, w):
+        raise ValueError(f"cannot crop {margin} cells per side from {(h, w)}")
+    inner = (slice(None), slice(margin, h - margin), slice(margin, w - margin))
+    out = Tensor(x.data[inner])
+    if tape is not None:
+        def backward(g):
+            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx[inner] = g
+            return (gx,)
+
+        tape.record(out, (x,), backward)
+    return out
+
+
 def channel_affine(x, gamma, beta, mean: np.ndarray, var: np.ndarray, *,
                    eps: float = 1e-5, tape: Optional[GradTape] = None) -> Tensor:
     """Per-channel normalize-and-rescale: (x - mean)/sqrt(var + eps)*gamma + beta.

@@ -62,6 +62,8 @@ class NetworkSpec:
             raise ValueError("block_kernels and block_strides must have equal length")
         if self.activation not in HEADS:
             raise ValueError(f"unknown head activation {self.activation!r}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise ValueError(f"input_shape must be three positive sizes, got {self.input_shape}")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
         if self.width < 1:
@@ -184,11 +186,26 @@ def build_model(spec: NetworkSpec, seed: int) -> Parameters:
 
 def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None,
             *, tape: Optional[GradTape] = None, training: bool = False,
-            ws: Optional[core.Workspace] = None) -> Tuple[Tensor, Tensor]:
+            ws: Optional[core.Workspace] = None,
+            inside: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
     """One pass: returns (logit map, score map). The score map is binary for
     the heaviside_st head and lies in [0,1] for the relaxed heads. Every conv
     writes its large arrays into the workspace `ws` under its layer name, if
-    one is given (see `core.Workspace` for how long they stay valid)."""
+    one is given (see `core.Workspace` for how long they stay valid).
+
+    Without `inside`, x is whole images of the spec's input shape and every
+    conv pads by k//2. With `inside`, a boolean (B,H,W) mask of the cells of
+    x that lie in the image, x is a window (at least rf cells per side) of
+    zero-padded images, and every conv runs unpadded: each spatial conv
+    (k > 1) shrinks the window by k//2 per side, so the maps come out rf//2
+    cells smaller per side. Before every spatial conv the cells outside the
+    image are zeroed, as the padding of the padded model is, and each skip
+    is centre-cropped to its block's output window. `inside` shrunk by
+    rf//2 per side marks the output cells in the image; each has the same
+    bits as in the padded forward of the whole image. So has the gradient
+    of a loss on those cells with respect to an input cell rf-1 or more
+    cells inside the window's edge, since every output it moves is
+    computed. Training never takes a mask."""
     mode = mode or spec.activation
     x = core.as_tensor(x)
     data = x.data
@@ -197,9 +214,20 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         data = x.data
     if data.ndim != 4:
         raise ValueError(f"input must be (B,h,w,c) or (h,w,c), got shape {data.shape}")
-    if data.shape[1:] != tuple(spec.input_shape):
-        raise ValueError(
-            f"input shape {data.shape[1:]} does not match spec input {spec.input_shape}")
+    if inside is None:
+        if data.shape[1:] != tuple(spec.input_shape):
+            raise ValueError(
+                f"input shape {data.shape[1:]} does not match spec input {spec.input_shape}")
+    else:
+        rf = receptive_field(spec.layer_geom(), *spec.input_shape[:2]).rf_h
+        if training:
+            raise ValueError("a windowed forward cannot train")
+        if inside.dtype != bool or inside.shape != data.shape[:3]:
+            raise ValueError(f"in-image mask of {inside.dtype} {inside.shape} does not match "
+                             f"the input's {data.shape[:3]}")
+        if data.shape[3] != spec.input_shape[2] or min(data.shape[1:3]) < rf:
+            raise ValueError(f"input window {data.shape[1:]} needs {spec.input_shape[2]} "
+                             f"channels and at least {rf} cells per side")
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("input pixels must lie in [0,1]")
 
@@ -211,14 +239,22 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         # certification needs; training then moves them toward the batch's.
         stats = (t[norm + ".gamma"], t[norm + ".beta"], t[norm + ".running_mean"].data,
                  t[norm + ".running_var"].data)
-        return core.conv2d(inp, t[conv + ".kernel"], padding=k // 2, norm=stats, skip=skip,
+        padding = k // 2
+        if inside is not None:
+            padding = 0
+            if k > 1:
+                m = (inside.shape[1] - inp.shape[1]) // 2
+                inp = core.zero_outside(inp, inside[:, m:m + inp.shape[1], m:m + inp.shape[2]],
+                                        tape=tape)
+        return core.conv2d(inp, t[conv + ".kernel"], padding=padding, norm=stats, skip=skip,
                            relu=True, momentum=NORM_MOMENTUM if training else None,
                            eps=NORM_EPS, tape=tape, ws=ws, layer=conv)
 
     h = conv_norm_relu(x, "stem", "stem.norm", spec.stem_kernel)
     for i, k in enumerate(spec.block_kernels):
         y = conv_norm_relu(h, f"block{i}.conv1", f"block{i}.norm1", k)
-        h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1, skip=h)
+        h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1,
+                           skip=h if inside is None else core.center_crop(h, k // 2, tape=tape))
     logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape, ws=ws, layer="head")
     scores = core.activation(logits, mode, tape=tape)
     return logits, scores
