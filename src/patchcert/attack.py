@@ -101,12 +101,11 @@ def _weakest(outside: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.nd
 # Images per PGD batch, read at each call; measured at width 64 with a 5x5
 # patch on a 2-vCPU Xeon VM: pgd_patch_attack in a fresh process, medians
 # of 3 runs in image-steps/s for 4 / 8 / 16. 16x16 inputs at rf5 (quickstart
-# checkpoint, 200 images x 10 steps): 720 / 868 / 1020. 32x32 at rf7
-# (random weights, 64 images x 5 steps): 368 / 390 / 414. 32x32 at rf13:
-# 81 / 81 / 81. With the shrinking windows page faults no longer decide the
-# order at rf5 and rf7 (1.2k-6.6k per run, growing with the chunk); at rf13
-# 8 faults least (12k against 32k and 44k) but runs no faster. 16 does not
-# win at rf13, so the value stays 8.
+# checkpoint, 200 images x 10 steps): 611 / 864 / 883. 32x32 at rf7
+# (random weights, 64 images x 5 steps): 248 / 254 / 255. 32x32 at rf13:
+# 73 / 77 / 71. 16 is no faster than 8 within the runs' spread; it takes
+# 49k minor page faults per run against 0.2k at 16x16 rf5, and 71k against
+# 27k at rf13, where it is slowest. So the value stays 8.
 ATTACK_CHUNK = 8
 
 
@@ -123,17 +122,17 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
     The patch changes only the votes inside its dependency region R(l), and
     those read only the input within rf-1 pixels of the patch. So each step
     runs on a window: the objective is the clean votes outside R(l), which
-    are fixed, plus the window's votes inside R(l). Each image is zero-padded
-    by rf-1 and cut to the patch dilated by rf-1, so every window has the
-    same size and holds its patch at the same offset, and the images stack
-    into one batch. The model runs on the windows with a per-image mask of
-    the cells in the image (`model.forward`'s `inside`): every conv is
-    unpadded, so the window shrinks per layer to the positions later layers
-    read and ends as the patch dilated by rf//2, whose cells in the image
-    are R(l); cells outside the image are zeroed before every spatial conv.
-    The votes inside R(l), and so the loss and the patch gradient, are the
-    bits a full-image step gives. The final prediction adds the votes of
-    one more such forward to the fixed outside votes."""
+    are fixed, plus the window's votes inside R(l). Along each axis the
+    window is the patch dilated by rf-1 in the image zero-padded by rf-1, or
+    the whole axis where that is not shorter than the image, so the windows
+    stack into one batch. The model runs on them with a per-image mask of the
+    cells in the image (`model.forward`'s `inside`): along a dilated axis
+    every conv runs unpadded and the window shrinks per layer to what later
+    layers read; along a whole axis every conv pads. No conv runs on more
+    positions than on the whole image, and the loss and the patch gradient
+    are the bits a full-image step gives. The final prediction comes from a
+    forward of the whole patched image, so the success flag does not rest
+    on R(l)."""
     images = np.asarray(images, dtype=np.float32)
     clean_maps = certify.validate_score_map(clean_maps, 4)
     n = len(images)
@@ -145,17 +144,29 @@ def pgd_patch_attack(params: Parameters, spec: NetworkSpec, images: np.ndarray,
                          f"match spec {spec.input_shape} -> {(h_out, w_out, spec.classes)}")
     labels = certify.validate_labels(labels, n, spec.classes)
     regions = geometry.enumerate_regions(h_in, w_in, config.patch_h, config.patch_w)
-    factors = _factors(dependency_rects(regions, spec.layer_geom(), h_in, w_in), h_out, w_out)
+    rects = dependency_rects(regions, spec.layer_geom(), h_in, w_in)
+    factors = _factors(rects, h_out, w_out)
     results: List[AttackResult] = []
     for lo in range(0, n, ATTACK_CHUNK):
         part = slice(lo, lo + ATTACK_CHUNK)
         results += _attack_batch(params, spec, images[part], clean_maps[part], labels[part],
-                                 replace(config, seed=config.seed + lo), regions, factors)
+                                 replace(config, seed=config.seed + lo), regions, rects,
+                                 factors)
     return results
+
+
+def _window(start: np.ndarray, length: int, size: int, reach: int) -> np.ndarray:
+    """Along one axis of a `size` image, the (n, side) coordinates of each
+    window: the patches [start, start + length) dilated by reach, or the
+    whole axis where that dilation is not shorter than it."""
+    if length + 2 * reach >= size:
+        return np.broadcast_to(np.arange(size), (len(start), size))
+    return start[:, None] - reach + np.arange(length + 2 * reach)
 
 
 def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np.ndarray,
                   labels: np.ndarray, config: AttackConfig, regions: Sequence[PatchRegion],
+                  rects: Tuple[np.ndarray, ...],
                   factors: certify.IntervalFactors) -> List[AttackResult]:
     """pgd_patch_attack on one batch of checked inputs."""
     n = len(x)
@@ -164,26 +175,29 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
     rows = np.arange(n)
     total, outside = certify.outside_sums(maps, factors)
     lim, target = _weakest(outside, labels)
-    outside = outside[rows, :, lim]  # (n, C) votes the patch cannot move
-    fixed = Tensor(outside.astype(np.float32))
+    # (n, C) votes the patch cannot move
+    fixed = Tensor(outside[rows, :, lim].astype(np.float32))
 
     ph, pw = config.patch_h, config.patch_w
     reach = geometry.receptive_field(spec.layer_geom(), h_in, w_in).rf_h - 1
-    # window rows and columns in the coordinates of the image padded by reach
-    win_rows = np.array([regions[k].top for k in lim])[:, None] + np.arange(ph + 2 * reach)
-    win_cols = np.array([regions[k].left for k in lim])[:, None] + np.arange(pw + 2 * reach)
+    p_top = np.array([regions[k].top for k in lim])
+    p_left = np.array([regions[k].left for k in lim])
+    win_rows, win_cols = _window(p_top, ph, h_in, reach), _window(p_left, pw, w_in, reach)
     padded = np.pad(x, ((0, 0), (reach, reach), (reach, reach), (0, 0)))
-    windows = padded[rows[:, None, None], win_rows[:, :, None], win_cols[:, None, :]]
-    inside = (((win_rows >= reach) & (win_rows < reach + h_in))[:, :, None]
-              & ((win_cols >= reach) & (win_cols < reach + w_in))[:, None, :])
-    # the output window's cells in the image: R(l)
-    votes = inside[:, reach // 2:-(reach // 2), reach // 2:-(reach // 2)]
-    at = (slice(None), slice(reach, reach + ph), slice(reach, reach + pw))
-
-    def patched(patch: np.ndarray) -> np.ndarray:
-        out = windows.copy()
-        out[at] = patch
-        return out
+    windows = padded[rows[:, None, None], reach + win_rows[:, :, None],
+                     reach + win_cols[:, None, :]]
+    inside = (((win_rows >= 0) & (win_rows < h_in))[:, :, None]
+              & ((win_cols >= 0) & (win_cols < w_in))[:, None, :])
+    # the patch pixels of each window, as an index of the (n, rows, cols, c) stack
+    at = (rows[:, None, None], (p_top - win_rows[:, 0])[:, None, None] + np.arange(ph)[:, None],
+          (p_left - win_cols[:, 0])[:, None, None] + np.arange(pw))
+    # stride 1: output (i, j) sits on pixel (i, j); an unpadded axis loses
+    # reach // 2 cells per side
+    out_rows, out_cols = (v if v.shape[1] == size else v[:, reach // 2:-(reach // 2)]
+                          for v, size in ((win_rows, h_in), (win_cols, w_in)))
+    r0, r1, c0, c1 = (v[lim][:, None] for v in rects[:4])
+    votes = (((out_rows >= r0) & (out_rows < r1))[:, :, None]
+             & ((out_cols >= c0) & (out_cols < c1))[:, None, :])
 
     patch = np.stack([np.random.default_rng(config.seed + i).random((ph, pw, c_in),
                                                                    dtype=np.float32)
@@ -191,7 +205,9 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
     area = float(h_out * w_out)
     trace = np.empty((config.steps, n), dtype=np.float32)
     for step in range(config.steps):
-        adv = Tensor(patched(patch))
+        adv_data = windows.copy()
+        adv_data[at] = patch
+        adv = Tensor(adv_data)
         tape = GradTape()
         _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape, inside=inside)
         sums = core.add(fixed, core.class_sums(scores, votes, tape=tape), tape=tape)
@@ -204,17 +220,16 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
             raise RuntimeError(f"attack gradient became non-finite at step {step}")
         patch = np.clip(patch + config.step_size * np.sign(g[at]), 0.0, 1.0).astype(np.float32)
 
-    _, adv_scores = model.forward(params, spec, patched(patch), "heaviside_st", inside=inside)
-    adv_votes = certify.validate_score_map(adv_scores.data, 4) * votes[..., None]
-    adv_preds = (outside + adv_votes.sum(axis=(1, 2), dtype=np.int64)).argmax(axis=1)
+    adversarial = np.stack([apply_patch(x[i], patch[i], regions[k]) for i, k in enumerate(lim)])
+    _, adv_scores = model.forward(params, spec, adversarial, "heaviside_st")
     results = []
     for i, k in enumerate(lim):
-        adv_pred = int(adv_preds[i])
+        adv_pred, _ = certify.classify(adv_scores.data[i])
         results.append(AttackResult(
             region=regions[k], target=int(target[i]), patch=patch[i],
-            adversarial=apply_patch(x[i], patch[i], regions[k]),
-            success=bool(adv_pred != labels[i]), clean_pred=int(total[i].argmax()),
-            adv_pred=adv_pred, loss_trace=trace[:, i].tolist(), steps_used=config.steps))
+            adversarial=adversarial[i], success=bool(adv_pred != labels[i]),
+            clean_pred=int(total[i].argmax()), adv_pred=adv_pred,
+            loss_trace=trace[:, i].tolist(), steps_used=config.steps))
     return results
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -174,13 +174,14 @@ def _col2im(gcols: np.ndarray, padded_shape: Tuple[int, ...], stride: int) -> np
     return gx
 
 
-def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
+def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
            norm: Optional[tuple] = None, skip=None, relu: bool = False,
            momentum: Optional[float] = None, eps: float = 1e-5,
            tape: Optional[GradTape] = None, ws: Optional[Workspace] = None,
            layer: Optional[str] = None) -> Tensor:
     """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel
-    (output size floor((in + 2*padding - k)/stride) + 1 per axis), then optionally
+    (output size floor((in + 2*padding - k)/stride) + 1 per axis; `padding` is
+    one size for both axes or a (rows, columns) pair), then optionally
     a norm, a residual add of `skip` and a ReLU in place, under one tape record.
 
     `norm` = (gamma, beta, mean, var) maps z to ((z - mean)*inv)*gamma + beta,
@@ -210,27 +211,28 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
         raise ValueError(
             f"channel mismatch: input shape {x.shape} has {x.shape[3]} channels, "
             f"kernel shape {kernel.shape} expects {ci}")
-    if stride < 1 or padding < 0:
+    pad_h, pad_w = (padding, padding) if isinstance(padding, int) else padding
+    if stride < 1 or min(pad_h, pad_w) < 0:
         raise ValueError(f"invalid stride/padding ({stride}, {padding})")
     if bias is not None and norm is not None:
         raise ValueError("conv2d takes a bias or a norm, not both")
     b = x.shape[0]
-    ho = (x.shape[1] + 2 * padding - kh) // stride + 1
-    wo = (x.shape[2] + 2 * padding - kw) // stride + 1
+    ho = (x.shape[1] + 2 * pad_h - kh) // stride + 1
+    wo = (x.shape[2] + 2 * pad_w - kw) // stride + 1
     if skip is not None and skip.shape != (b, ho, wo, co):
         raise ValueError(f"skip shape {skip.shape} does not match the output {(b, ho, wo, co)}")
     if ws is not None and layer is None:
         raise ValueError("conv2d with a workspace needs a layer name")
 
     direct = kh == 1 and stride == 1  # the (padded) input already is the column matrix
-    h, w, p = x.shape[1], x.shape[2], padding
-    xp_shape = (b, h + 2 * p, w + 2 * p, ci)  # the backward keeps the shape, not the padded copy
+    h, w, p, q = x.shape[1], x.shape[2], pad_h, pad_w
+    xp_shape = (b, h + 2 * p, w + 2 * q, ci)  # the backward keeps the shape, not the padded copy
     cols_shape = (b, ho, wo, kh, kw, ci)
     xp = x.data
-    if p:
+    if p or q:
         xp = _buffer(ws, (layer, "cols") if direct else ("pad", xp_shape[1:]), xp_shape, x.dtype)
-        xp[:, :p] = xp[:, p + h:] = xp[:, p:p + h, :p] = xp[:, p:p + h, p + w:] = 0
-        xp[:, p:p + h, p:p + w] = x.data
+        xp[:, :p] = xp[:, p + h:] = xp[:, p:p + h, :q] = xp[:, p:p + h, q + w:] = 0
+        xp[:, p:p + h, q:q + w] = x.data
     cols = xp if direct else _im2col(xp, kh, kw, stride,
                                      _buffer(ws, (layer, "cols"), cols_shape, xp.dtype))
     flat = cols.reshape(-1, kh * kw * ci)
@@ -298,7 +300,7 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: int = 0,
                                  np.result_type(g_flat, k_eff))
                 np.matmul(g_flat, k_eff.T, out=g_cols.reshape(len(g_flat), -1))
                 g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
-                g_x = g_xp[:, p:p + h, p:p + w]
+                g_x = g_xp[:, p:p + h, q:q + w]
             if g_kernel is not None:
                 g_kernel = g_kernel.reshape(kernel.shape)
             return [g_x, g_kernel] + extra + [g] * (skip is not None)
@@ -386,16 +388,18 @@ def zero_outside(x, mask: np.ndarray, *, tape: Optional[GradTape] = None) -> Ten
     return out
 
 
-def center_crop(x, margin: int, *, tape: Optional[GradTape] = None) -> Tensor:
-    """The centre of a (B,H,W,C) tensor without `margin` cells on each side;
-    the backward zero-pads the gradient back. A margin of 0 returns x."""
+def center_crop(x, margins: Tuple[int, int], *, tape: Optional[GradTape] = None) -> Tensor:
+    """The centre of a (B,H,W,C) tensor without margins = (rows, columns)
+    cells on each side; the backward zero-pads the gradient back. Margins of
+    0 return x."""
     x = as_tensor(x)
-    if margin == 0:
+    if margins == (0, 0):
         return x
     b, h, w, c = x.shape
-    if not 0 < 2 * margin < min(h, w):
-        raise ValueError(f"cannot crop {margin} cells per side from {(h, w)}")
-    inner = (slice(None), slice(margin, h - margin), slice(margin, w - margin))
+    mh, mw = margins
+    if not (0 <= 2 * mh < h and 0 <= 2 * mw < w):
+        raise ValueError(f"cannot crop {margins} cells per side from {(h, w)}")
+    inner = (slice(None), slice(mh, h - mh), slice(mw, w - mw))
     out = Tensor(x.data[inner])
     if tape is not None:
         def backward(g):

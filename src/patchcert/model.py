@@ -195,17 +195,19 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
 
     Without `inside`, x is whole images of the spec's input shape and every
     conv pads by k//2. With `inside`, a boolean (B,H,W) mask of the cells of
-    x that lie in the image, x is a window (at least rf cells per side) of
-    zero-padded images, and every conv runs unpadded: each spatial conv
+    x that lie in the image, x is a window of zero-padded images. Along an
+    axis where x is as long as the image, x is the whole image and every
+    conv pads by k//2 along it. Along any other axis x is a window of at
+    least rf cells and every conv runs unpadded along it: each spatial conv
     (k > 1) shrinks the window by k//2 per side, so the maps come out rf//2
-    cells smaller per side. Before every spatial conv the cells outside the
-    image are zeroed, as the padding of the padded model is, and each skip
-    is centre-cropped to its block's output window. `inside` shrunk by
-    rf//2 per side marks the output cells in the image; each has the same
-    bits as in the padded forward of the whole image. So has the gradient
-    of a loss on those cells with respect to an input cell rf-1 or more
-    cells inside the window's edge, since every output it moves is
-    computed. Training never takes a mask."""
+    cells shorter per side. Before every spatial conv after the stem, the
+    cells outside the image are zeroed, as the padding of the padded model
+    is, and each skip is centre-cropped to its block's output window. Every
+    output cell in the image has the same bits as in the padded forward of
+    the whole image. So has the gradient of a loss on those cells with
+    respect to an input cell in the image whose outputs in the image all lie
+    in the output window, since every output it moves is computed. Training
+    never takes a mask."""
     mode = mode or spec.activation
     x = core.as_tensor(x)
     data = x.data
@@ -225,9 +227,13 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         if inside.dtype != bool or inside.shape != data.shape[:3]:
             raise ValueError(f"in-image mask of {inside.dtype} {inside.shape} does not match "
                              f"the input's {data.shape[:3]}")
-        if data.shape[3] != spec.input_shape[2] or min(data.shape[1:3]) < rf:
+        valid = tuple(n != size for n, size in zip(data.shape[1:3], spec.input_shape[:2]))
+        if data.shape[3] != spec.input_shape[2] or \
+                any(v and n < rf for v, n in zip(valid, data.shape[1:3])):
             raise ValueError(f"input window {data.shape[1:]} needs {spec.input_shape[2]} "
-                             f"channels and at least {rf} cells per side")
+                             f"channels and, along an axis shorter or longer than the "
+                             f"image's, at least {rf} cells")
+        ring = not inside.all()
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("input pixels must lie in [0,1]")
 
@@ -241,11 +247,11 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
                  t[norm + ".running_var"].data)
         padding = k // 2
         if inside is not None:
-            padding = 0
-            if k > 1:
-                m = (inside.shape[1] - inp.shape[1]) // 2
-                inp = core.zero_outside(inp, inside[:, m:m + inp.shape[1], m:m + inp.shape[2]],
-                                        tape=tape)
+            padding = tuple(0 if v else k // 2 for v in valid)
+            if k > 1 and ring and inp is not x:
+                mh, mw = ((n - m) // 2 for n, m in zip(inside.shape[1:], inp.shape[1:3]))
+                inp = core.zero_outside(
+                    inp, inside[:, mh:mh + inp.shape[1], mw:mw + inp.shape[2]], tape=tape)
         return core.conv2d(inp, t[conv + ".kernel"], padding=padding, norm=stats, skip=skip,
                            relu=True, momentum=NORM_MOMENTUM if training else None,
                            eps=NORM_EPS, tape=tape, ws=ws, layer=conv)
@@ -254,7 +260,8 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
     for i, k in enumerate(spec.block_kernels):
         y = conv_norm_relu(h, f"block{i}.conv1", f"block{i}.norm1", k)
         h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1,
-                           skip=h if inside is None else core.center_crop(h, k // 2, tape=tape))
+                           skip=h if inside is None else core.center_crop(
+                               h, tuple(k // 2 if v else 0 for v in valid), tape=tape))
     logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape, ws=ws, layer="head")
     scores = core.activation(logits, mode, tape=tape)
     return logits, scores

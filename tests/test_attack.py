@@ -235,23 +235,27 @@ def placement(region, side):
 RFS = sorted(BLOCK_KERNELS)
 
 
-def patch_window(x, region, reach):
-    """The window the attack runs on: the (h, w, c) image zero-padded by
-    reach, cut to the region dilated by reach, as a batch of one, with its
-    in-image mask."""
+def patch_window(x, rows, cols, reach):
+    """The window of an (h, w, c) image at its rows and columns `rows` and
+    `cols`, which may reach up to `reach` past its edges, cut from the image
+    zero-padded by reach, as a batch of one, with its in-image mask."""
     h, w, _ = x.shape
     padded = np.pad(x, ((reach, reach), (reach, reach), (0, 0)))
-    rows = slice(region.top, region.top + region.height + 2 * reach)
-    cols = slice(region.left, region.left + region.width + 2 * reach)
-    inside = np.zeros(padded.shape[:2], dtype=bool)
-    inside[reach:reach + h, reach:reach + w] = True
-    return padded[None, rows, cols], inside[None, rows, cols]
+    inside = ((rows >= 0) & (rows < h))[:, None] & ((cols >= 0) & (cols < w))[None]
+    return padded[None, reach + rows[:, None], reach + cols[None]], inside[None]
+
+
+def window_mode(patch, side, rf):
+    """Per axis, whether the attack's window runs unpadded on the patch
+    dilated by rf-1 (True) or covers the whole image (False)."""
+    return tuple(p + 2 * (rf - 1) < side for p in patch)
 
 
 class TestReceptiveFieldCrop:
-    """Each PGD step runs on a window of the zero-padded image, the patch
-    dilated by rf-1, that every valid conv shrinks; the full-image loop in
-    conftest is the reference it must reproduce bit for bit."""
+    """Each PGD step runs on a window of the zero-padded image, per axis the
+    patch dilated by rf-1, which every unpadded conv shrinks, or the whole
+    axis; the full-image loop in conftest is the reference it must
+    reproduce bit for bit."""
 
     @pytest.mark.parametrize("rf", RFS)
     def test_crop_votes_match_full_forward_for_every_region(self, rf, rng):
@@ -275,36 +279,57 @@ class TestReceptiveFieldCrop:
             assert np.array_equal(crop_logits.data[0][inner], full_logits.data[0][full])
             assert np.array_equal(crop_scores.data[0][inner], full_scores.data[0][full])
 
-            # the windowed forward: its in-image outputs are R(l), bit for bit
-            window, inside = patch_window(adv, region, reach)
-            win = Tensor(window)
-            tape = GradTape()
-            win_logits, win_scores = forward(params, spec, win, tape=tape, inside=inside)
-            votes = inside[:, rf // 2:-(rf // 2), rf // 2:-(rf // 2)]
-            assert win_scores.shape == (1, 3 + rf - 1, 3 + rf - 1, 3)
-            in_rl = dep.as_mask(16, 16)
-            assert np.array_equal(win_logits.data[votes], full_logits.data[0][in_rl])
-            assert np.array_equal(win_scores.data[votes], full_scores.data[0][in_rl])
-            # and the gradient on the patch of its R(l) votes is that of the
-            # full map's votes
-            g_win = tape.gradients(class_sums(win_scores, votes, tape=tape), [win])[id(win)]
+            # the windowed forward, on the patch dilated by rf-1 (every axis
+            # unpadded, even where that is longer than the image) and on the
+            # attack's window (at rf9 and above the whole image): its outputs
+            # in the image are the full forward's, bit for bit
+            dilated = [np.arange(t - reach, t + 3 + reach) for t in (region.top, region.left)]
+            own = [attack._window(np.array([t]), 3, 16, reach)[0]
+                   for t in (region.top, region.left)]
             full_in = Tensor(adv[None])
             tape = GradTape()
-            full_scores = forward(params, spec, full_in, tape=tape)[1]
-            g_full = tape.gradients(class_sums(full_scores, tape=tape), [full_in])[id(full_in)]
-            at = (slice(region.top, region.top + 3), slice(region.left, region.left + 3))
-            assert np.array_equal(g_win[0, reach:reach + 3, reach:reach + 3], g_full[0][at])
-            assert np.abs(g_full[0][at]).max() > 0
+            full_map = forward(params, spec, full_in, tape=tape)[1]
+            g_full = tape.gradients(class_sums(full_map, tape=tape), [full_in])[id(full_in)]
+            for rows, cols in (dilated, own):
+                window, inside = patch_window(adv, rows, cols, reach)
+                win = Tensor(window)
+                tape = GradTape()
+                win_logits, win_scores = forward(params, spec, win, tape=tape, inside=inside)
+                out_rows, out_cols = (v if len(v) == 16 else v[rf // 2:-(rf // 2)]
+                                      for v in (rows, cols))
+                assert win_scores.shape == (1, len(out_rows), len(out_cols), 3)
+                in_r = (out_rows >= 0) & (out_rows < 16)
+                in_c = (out_cols >= 0) & (out_cols < 16)
+                cells = np.ix_(out_rows[in_r], out_cols[in_c])
+                assert np.array_equal(win_logits.data[0][np.ix_(in_r, in_c)],
+                                      full_logits.data[0][cells])
+                assert np.array_equal(win_scores.data[0][np.ix_(in_r, in_c)],
+                                      full_scores.data[0][cells])
+                # and the gradient on the patch of its R(l) votes is that of
+                # the full map's votes
+                votes = dep.as_mask(16, 16)[np.ix_(np.clip(out_rows, 0, 15),
+                                                   np.clip(out_cols, 0, 15))]
+                votes &= np.outer(in_r, in_c)
+                g_win = tape.gradients(class_sums(win_scores, votes[None], tape=tape),
+                                       [win])[id(win)]
+                at = np.ix_(np.flatnonzero((rows >= region.top) & (rows < region.top + 3)),
+                            np.flatnonzero((cols >= region.left) & (cols < region.left + 3)))
+                assert np.array_equal(g_win[0][at], g_full[0, region.top:region.top + 3,
+                                                            region.left:region.left + 3])
+                assert np.abs(g_win[0][at]).max() > 0
 
         with pytest.raises(ValueError, match="mask"):
             forward(params, spec, window, inside=inside[:, 1:])
         with pytest.raises(ValueError, match="mask"):
             forward(params, spec, window, inside=inside.astype(np.uint8))
+        short = window[:, :rf - 1, :rf - 1]
+        with pytest.raises(ValueError, match=f"at least {rf} cells"):
+            forward(params, spec, short, inside=np.ones(short.shape[:3], dtype=bool))
 
     def test_matches_full_image_reference_at_every_placement(self):
-        seen = Counter()
+        seen, modes = Counter(), Counter()
         for rf in RFS:
-            for side in (16, 20):
+            for side in (16, 28):
                 spec, params = crop_model(rf, side, seed=side)
                 for ph, pw in CROP_PATCHES:
                     for seed in range(3):
@@ -317,7 +342,10 @@ class TestReceptiveFieldCrop:
                         ref = reference_pgd_patch_attack(params, spec, x, seed % 3, config)
                         assert_matches_reference(res, ref)
                         seen[placement(res.region, side)] += 1
+                    modes[window_mode((ph, pw), side, rf)] += 1
         assert min(seen[k] for k in ("corner", "edge", "interior")) > 0, seen
+        # unpadded and whole-image windows, and windows mixing the two
+        assert min(modes[k] for k in ((True, True), (False, False), (True, False))) > 0, modes
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(rf=st.sampled_from(RFS), side=st.integers(12, 20),

@@ -50,6 +50,25 @@ class TestConv2d:
             want = naive_conv2d(x, kernel, stride=stride, padding=padding)
             assert np.abs(got - want).max() <= 1e-6
 
+    def test_per_axis_padding_pads_each_axis(self, rng):
+        # (rows, columns) padding is the conv of the input zero-padded that
+        # much, forward and input gradient, bit for bit
+        x = Tensor(rng.standard_normal((2, 5, 6, 2)).astype(np.float32))
+        k = rng.standard_normal((3, 3, 2, 3)).astype(np.float32)
+        for p, q in ((1, 0), (0, 1), (1, 2)):
+            padded = Tensor(np.pad(x.data, ((0, 0), (p, p), (q, q), (0, 0))))
+            tape = GradTape()
+            got = core.conv2d(x, k, padding=(p, q), tape=tape)
+            g_got = tape.gradients(got, [x])[id(x)]
+            tape = GradTape()
+            want = core.conv2d(padded, k, tape=tape)
+            g_want = tape.gradients(want, [padded])[id(padded)]
+            assert got.shape == (2, 3 + 2 * p, 4 + 2 * q, 3)
+            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(g_got, g_want[:, p:p + 5, q:q + 6])
+        with pytest.raises(ValueError, match="padding"):
+            core.conv2d(x, k, padding=(1, -1))
+
     def test_channel_mismatch_names_both_shapes(self):
         x = np.zeros((1, 4, 4, 2), dtype=np.float32)
         k = np.zeros((3, 3, 3, 1), dtype=np.float32)
