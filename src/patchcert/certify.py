@@ -42,9 +42,29 @@ def classify(s: np.ndarray) -> Tuple[int, np.ndarray]:
     Returns (argmax class, raw integer score vector). Ties break to the lowest
     class index; tied predictions are never certifiable.
     """
-    s = validate_score_map(s)
-    sums = s.sum(axis=(0, 1), dtype=np.int64)
+    sums = class_counts(validate_score_map(s)[None])[0]
     return int(sums.argmax()), sums
+
+
+# Rows per uint8 partial sum in class_counts: at most 255 entries of 0 or 1.
+_COUNT_BLOCK = 255
+
+
+def class_counts(maps: np.ndarray) -> np.ndarray:
+    """Exact per-class vote counts of (n, h, w, C) 0/1 uint8 maps, already
+    checked binary (validate_score_map), as (n, C) int64.
+
+    Blocks of at most 255 rows of the (n, h, w*C) view are summed in uint8,
+    with no cast and no wrap; only the (n, w*C) partial sums, 1/h of the
+    maps' bytes, are widened to int64 and summed over w. Summing the maps
+    straight into int64 runs numpy's buffered casting loop, about 6x slower
+    on 10k 32x32x10 maps."""
+    n, h, w, c = maps.shape
+    rows = maps.reshape(n, h, w * c)
+    counts = np.zeros((n, w * c), dtype=np.int64)
+    for lo in range(0, h, _COUNT_BLOCK):
+        counts += rows[:, lo:lo + _COUNT_BLOCK].sum(axis=1, dtype=np.uint8)
+    return counts.reshape(n, w, c).sum(axis=1)
 
 
 def is_tied(sums: np.ndarray) -> bool:
@@ -86,7 +106,10 @@ def _flip_against(s: np.ndarray, c_t: int, idx: tuple) -> np.ndarray:
 # interval-product kernel shared by every sum-condition path
 
 def validate_labels(labels, b: int, c: int) -> np.ndarray:
-    """Check labels are a (b,) integer array with every entry in [0, c)."""
+    """Check labels are a (b,) integer array with every entry in [0, c), for
+    c >= 2 classes: with no rival class a certificate means nothing."""
+    if c < 2:
+        raise ValueError(f"certification needs at least 2 classes, got {c}")
     labels = np.asarray(labels)
     if labels.shape != (b,) or labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be a ({b},) integer array, got shape "
@@ -219,13 +242,13 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     return pred, tied, gap.min(axis=1)
 
 
-# Maps per chunk of the batch paths, read at each call. At 32 maps the chunk
-# temporaries of 32x32x10 maps at |L|=784 take about 1 MB each. On a shared
-# 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps ran within
-# run-to-run spread of each other, chunks of 8 maps about 10% slower and of 2
-# maps about 45% slower, from per-call overhead.
+# Maps per chunk of the per-region paths, read at each call. At 32 maps the
+# chunk temporaries of 32x32x10 maps at |L|=784 take about 1 MB each. On a
+# shared 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps ran
+# within run-to-run spread of each other, chunks of 8 maps about 10% slower
+# and of 2 maps about 45% slower, from per-call overhead. The global-margin
+# path is not chunked: class_counts' temporaries are 1/h of the maps.
 MAP_CHUNK = 32
-CHEAP_CHUNK = 1024  # certify_batch_cheap only sums each map
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
@@ -362,7 +385,7 @@ def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
     gap g_{c_t} - g_c over rivals. Returns (result, index of the limiting
     set); ties keep the first."""
     labels = validate_labels([c_t], 1, s.shape[2])
-    (pred,), (tied,), _ = _global_gap(s.sum(axis=(0, 1), dtype=np.int64)[None], labels)
+    (pred,), (tied,), _ = _global_gap(class_counts(s[None]), labels)
     worst = limiting = None
     top = np.iinfo(np.int64).max
     for i, idx in enumerate(index_sets):
@@ -478,13 +501,9 @@ def _global_margin(maps: np.ndarray, labels: np.ndarray, r_max: int):
     labels = validate_labels(labels, len(maps), maps.shape[3])
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-
-    def run(y, s):
-        pred, tied, gap = _global_gap(s.sum(axis=(1, 2), dtype=np.int64), y)
-        margin = gap - 2 * r_max
-        return (margin > 0) & (pred == y) & ~tied, margin, pred, tied
-
-    return tuple(_by_chunk(run, labels, maps, CHEAP_CHUNK))
+    pred, tied, gap = _global_gap(class_counts(maps), labels)
+    margin = gap - 2 * r_max
+    return (margin > 0) & (pred == labels) & ~tied, margin, pred, tied
 
 
 # ---------------------------------------------------------------------------

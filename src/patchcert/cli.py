@@ -379,6 +379,8 @@ def cmd_bench(out_dir: str, config: Dict, seed: int) -> int:
         if not os.path.isfile(b["blob"]):
             raise ConfigError(f"bench.blob: score-map blob not found: {b['blob']}")
         loaded = certify.load_score_maps(b["blob"])
+        if not loaded:
+            raise ConfigError(f"bench.blob holds no score maps: {b['blob']}")
         shapes = {m.shape for m in loaded}
         if len(shapes) != 1:
             raise ConfigError("bench blob must contain uniformly-shaped maps")

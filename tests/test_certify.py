@@ -66,6 +66,46 @@ class TestClassify:
             classify(np.full((2, 2, 2), 2, dtype=np.uint8))
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(0, 3), h=st.sampled_from([1, 254, 255, 256, 511, 600]),
+       w=st.integers(1, 3), c=st.integers(1, 4), ones=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_class_counts_match_int64_sum(n, h, w, c, ones, seed):
+    """Exact against an int64 reference, also where a column of one class
+    holds more than 255 votes (all-ones maps taller than one uint8 block)."""
+    if ones:
+        maps = np.ones((n, h, w, c), dtype=np.uint8)
+    else:
+        maps = np.random.default_rng(seed).integers(0, 2, size=(n, h, w, c), dtype=np.uint8)
+    got = certify.class_counts(maps)
+    assert got.dtype == np.int64 and got.shape == (n, c)
+    assert np.array_equal(got, maps.astype(np.int64).sum(axis=(1, 2)))
+
+
+class TestClassCounts:
+    def test_empty_batch(self):
+        got = certify.class_counts(np.zeros((0, 300, 2, 3), dtype=np.uint8))
+        assert got.dtype == np.int64 and got.shape == (0, 3)
+
+    def test_tall_grid_global_margin_matches_interval_products(self, rng):
+        """On a 300-row grid each label's column holds 300 votes, more than
+        one uint8 block; the global-margin path must still agree with the
+        totals of the interval products."""
+        h, w, c = 300, 4, 3
+        regions = enumerate_regions(h, w, 2, 2)
+        rects = dependency_rects(regions, [LayerGeom(3)], h, w)
+        rmax = int(rects[4].max())
+        labels = np.array([0, 2, 1])
+        maps = (rng.random((3, h, w, c)) < 0.3).astype(np.uint8)
+        maps[np.arange(3), :, :, labels] = 1
+        batch = certify_batch(maps, labels, rects, rmax)
+        cert, margin, pred = certify_batch_cheap(maps, labels, rmax)
+        assert np.array_equal(margin, batch.margin_cheap)
+        assert np.array_equal(pred, batch.predicted)
+        assert np.array_equal(cert, batch.certified_cheap)
+        assert np.array_equal(pred, labels) and cert.all()
+
+
 class TestDeltaMap:
     def test_signs(self):
         s = np.zeros((2, 2, 2), dtype=np.uint8)
@@ -296,7 +336,6 @@ class TestBatchPath:
                          for _ in range(64)])
         labels = rng.integers(0, 4, size=64)
         monkeypatch.setattr(certify, "MAP_CHUNK", 17)
-        monkeypatch.setattr(certify, "CHEAP_CHUNK", 13)
         batch = certify_batch(maps, labels, rects, rmax)
         cheap_only = certify_batch_cheap(maps, labels, rmax)
         for i in range(64):
@@ -386,6 +425,27 @@ class TestLabelValidation:
                      lambda: certify_generic_masks(s, c_t, [np.ones((6, 6), bool)]),
                      lambda: select_region_and_target(s, c_t, regions, layers)):
             with pytest.raises(ValueError, match="labels"):
+                call()
+
+
+class TestSingleClassRejected:
+    """With one class there is no rival, so no certificate means anything;
+    every certification path rejects C < 2 and names the class count."""
+
+    def test_every_path_rejects(self, rng):
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(6, 6, 2, 2)
+        rects = dependency_rects(regions, layers, 6, 6)
+        rmax = int(rects[4].max())
+        maps = rng.integers(0, 2, size=(4, 6, 6, 1)).astype(np.uint8)
+        y = np.zeros(4, dtype=np.int64)
+        for call in (lambda: certify_batch(maps, y, rects, rmax),
+                     lambda: certify_batch_cheap(maps, y, rmax),
+                     lambda: certify_batch_relaxed(maps.astype(np.float64), y, rects, rmax),
+                     lambda: certify_generic(maps[0], 0, regions, rects),
+                     lambda: certify_cheap(maps[0], 0, rmax),
+                     lambda: certify_sum(maps[0], 0, regions, layers)):
+            with pytest.raises(ValueError, match="at least 2 classes, got 1"):
                 call()
 
 

@@ -500,11 +500,23 @@ class TestBenchCommand:
         truncated.write_bytes(good.read_bytes()[:-5])
         garbage = tmp_path / "garbage.pcsm"
         garbage.write_bytes(b"garbage")
+        empty = tmp_path / "empty.pcsm"
+        empty.write_bytes(b"")
         for blob, message in ((truncated, "truncated score map"),
-                              (garbage, "bad score-map magic")):
+                              (garbage, "bad score-map magic"),
+                              (empty, "bench.blob holds no score maps")):
             code = main(["bench", "--out", str(tmp_path / "o"), "--set", f"bench.blob={blob}"])
             assert code == 1
             assert message in capsys.readouterr().err
+
+    def test_single_class_blob_exit_1(self, tmp_path, capsys, rng):
+        blob = tmp_path / "one_class.pcsm"
+        certify.save_score_maps(blob, rng.integers(0, 2, size=(4, 8, 8, 1), dtype=np.uint8))
+        code = main(["bench", "--out", str(tmp_path / "o"), "--set", f"bench.blob={blob}",
+                     "--set", "bench.patch=3x3", "--set", "bench.small_patch=2x2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "at least 2 classes, got 1" in err
 
     def test_unknown_rf_exit_1(self, tmp_path, capsys):
         code = main(["bench", "--out", str(tmp_path / "o"), "--set", "bench.rf=6"])
