@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import DependencyRegion, LayerGeom, PatchRegion, dependency_rects
+from .geometry import LayerGeom, PatchRegion, dependency_rects
 
 SCORE_MAP_MAGIC = b"PCSM"
 
@@ -67,41 +67,6 @@ def class_counts(maps: np.ndarray) -> np.ndarray:
     return counts.reshape(n, w, c).sum(axis=1)
 
 
-def is_tied(sums: np.ndarray) -> bool:
-    return int((sums == sums.max()).sum()) > 1
-
-
-def delta_map(s: np.ndarray, c_t: int) -> np.ndarray:
-    """Per-cell vote margin: delta[i,j,c] = s[i,j,c_t] - s[i,j,c] (int8)."""
-    s = validate_score_map(s)
-    validate_labels([c_t], 1, s.shape[2])
-    return (s[:, :, c_t:c_t + 1].astype(np.int8) - s.astype(np.int8))
-
-
-def worst_case_map(s: np.ndarray, c_t: int, region: DependencyRegion) -> np.ndarray:
-    """Scores with every cell inside the dependency region flipped maximally
-    against class c_t: 1 for c != c_t, 0 for c == c_t."""
-    s = validate_score_map(s)
-    if not region.is_empty and (region.row_stop > s.shape[0] or region.col_stop > s.shape[1]
-                                or region.row_start < 0 or region.col_start < 0):
-        raise ValueError(f"dependency region {region} exceeds the {s.shape[:2]} grid")
-    return _flip_against(s, c_t, _slices(region))
-
-
-def _slices(region: DependencyRegion) -> Tuple[slice, slice]:
-    return (slice(region.row_start, region.row_stop),
-            slice(region.col_start, region.col_stop))
-
-
-def _flip_against(s: np.ndarray, c_t: int, idx: tuple) -> np.ndarray:
-    """Copy of s whose cells at the (h, w) index tuple idx (two slices or a
-    boolean mask) vote 1 for every class but c_t and 0 for c_t."""
-    out = s.copy()
-    out[idx] = 1
-    out[idx + (c_t,)] = 0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # interval-product kernel shared by every sum-condition path
 
@@ -118,27 +83,6 @@ def validate_labels(labels, b: int, c: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {c}), got labels from "
                          f"{labels.min()} to {labels.max()}")
     return labels
-
-
-def build_integral_image(x: np.ndarray, dtype=np.int32) -> np.ndarray:
-    """Per-class summed-area table of (..., h, w, c) values; entry
-    [..., i, j, :] holds the sum over the half-open rectangle [0,i) x [0,j).
-    Shape (..., h+1, w+1, c). `dtype` must hold every sum exactly. An
-    independent reference for the interval-product kernel; no certification
-    path uses it."""
-    x = np.asarray(x)
-    *lead, h, w, c = x.shape
-    table = np.zeros((*lead, h + 1, w + 1, c), dtype=dtype)
-    table[..., 1:, 1:, :] = x.cumsum(axis=-3, dtype=dtype).cumsum(axis=-2, dtype=dtype)
-    return table
-
-
-def region_sum(table: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
-    """Per-class sum over the half-open rectangle [r0,r1) x [c0,c1): 4 lookups.
-    Corners may be (L,) index arrays; a (..., h+1, w+1, c) table then gives
-    (..., L, c)."""
-    return (table[..., r1, c1, :] - table[..., r0, c1, :]
-            - table[..., r1, c0, :] + table[..., r0, c0, :])
 
 
 def exact_sum_dtype(h: int, w: int):
@@ -219,8 +163,10 @@ def outside_sums(maps: np.ndarray,
 
 
 def _split_rival(outside: np.ndarray, labels: np.ndarray):
-    """(n, C, L) outside sums -> (true-class sum, strongest rival sum), each
-    (n, L). Overwrites the true-class rows of `outside`."""
+    """(n, C, L) class sums -> (true-class sum, strongest rival sum), each
+    (n, L): the one rival reduction of the per-region margins, the global
+    gap, the generic condition and the attack's choice. Overwrites the
+    true-class rows of `outside`."""
     rows = np.arange(len(labels))
     out_true = outside[rows, labels]
     # for integers half the range, so that true minus it stays representable
@@ -233,13 +179,12 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     """(predicted, tied, true-class sum minus the strongest rival) for each
     row of (n, C) class sums, integer sums widened to int64. Ties break to
     the lowest class index."""
-    sums = sums.astype(np.promote_types(sums.dtype, np.int64), copy=False)
-    rows = np.arange(len(labels))
     pred = sums.argmax(axis=1)
     tied = (sums == sums.max(axis=1)[:, None]).sum(axis=1) > 1
-    gap = sums[rows, labels][:, None] - sums
-    gap[rows, labels] = np.inf if gap.dtype.kind == "f" else np.iinfo(gap.dtype).max
-    return pred, tied, gap.min(axis=1)
+    # a real copy, since _split_rival overwrites its true-class entries
+    wide = sums.astype(np.promote_types(sums.dtype, np.int64))[:, :, None]
+    out_true, rival = _split_rival(wide, labels)
+    return pred, tied, (out_true - rival)[:, 0]
 
 
 # Maps per chunk of the per-region paths, read at each call. At 32 maps the
@@ -345,14 +290,15 @@ def register_aggregator(name: str,
 def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                     rects: Tuple[np.ndarray, ...],
                     g: AggregatorSpec = G_SUM) -> CertificationResult:
-    """Reference path: materialize the worst-case map for every region and
+    """Reference path: materialize the worst-case map for every region, its
+    dependency rectangle voting 1 for every class but c_t and 0 for c_t, and
     demand strict dominance of c_t under the aggregator. `rects` are the
     regions' dependency rectangles (from geometry.dependency_rects), as
     certify_batch takes them. Like certify_sum and certify_all, it reads the
     map grid as the input grid (a stride-1 model), where each rectangle
     contains its own region; rectangles that do not, say those of another
     patch shape with as many regions, are rejected. Costs one aggregator
-    evaluation per feasible region."""
+    evaluation per feasible region; ties keep the first limiting region."""
     s = validate_score_map(s)
     r0, r1, c0, c1, _ = rects
     if len(r0) != len(regions):
@@ -364,43 +310,24 @@ def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
                      dtype=np.int64).reshape(-1, 4)
     if (np.stack([-r0, r1, -c0, c1], axis=1) < inner).any():
         raise ValueError("dependency rectangles do not contain their regions")
-    r0, r1, c0, c1 = (v.tolist() for v in (r0, r1, c0, c1))
-    slices = [(slice(a, b), slice(c, d)) for a, b, c, d in zip(r0, r1, c0, c1)]
-    res, i = _certify_worst_case(s, c_t, slices, g)
-    return replace(res, limiting_region=regions[i])
-
-
-def certify_generic_masks(s: np.ndarray, c_t: int,
-                          masks: Sequence[np.ndarray],
-                          g: AggregatorSpec = G_SUM) -> CertificationResult:
-    """Generic path over explicit (possibly non-rectangular) output index sets,
-    one boolean (h,w) mask per feasible region."""
-    s = validate_score_map(s)
-    return _certify_worst_case(s, c_t, [(mask,) for mask in masks], g)[0]
-
-
-def _certify_worst_case(s: np.ndarray, c_t: int, index_sets, g: AggregatorSpec):
-    """For each index tuple over the (h, w) grid (a pair of slices or a
-    boolean mask), set its cells maximally against c_t and take the smallest
-    gap g_{c_t} - g_c over rivals. Returns (result, index of the limiting
-    set); ties keep the first."""
     labels = validate_labels([c_t], 1, s.shape[2])
-    (pred,), (tied,), _ = _global_gap(class_counts(s[None]), labels)
-    worst = limiting = None
-    top = np.iinfo(np.int64).max
-    for i, idx in enumerate(index_sets):
-        scores = np.asarray(g.fn(_flip_against(s, c_t, idx)), dtype=np.int64)
-        gaps = scores[c_t] - scores
-        gaps[c_t] = top
-        gap = int(gaps.min())
-        if worst is None or gap < worst:
-            worst, limiting = gap, i
-    if worst is None:
+    if not regions:
         raise ValueError("region set must be non-empty")
+    (pred,), (tied,), _ = _global_gap(class_counts(s[None]), labels)
+    scores = np.empty((1, s.shape[2], len(regions)), dtype=np.int64)
+    boxes = zip(*(v.tolist() for v in (r0, r1, c0, c1)))
+    for i, (top, bottom, left, right) in enumerate(boxes):
+        worst = s.copy()
+        worst[top:bottom, left:right] = 1
+        worst[top:bottom, left:right, c_t] = 0
+        scores[0, :, i] = g.fn(worst)
+    out_true, rival = _split_rival(scores, labels)
+    gap = out_true[0] - rival[0]
+    lim = int(gap.argmin())
     return CertificationResult(
         predicted=int(pred), tied=bool(tied),
-        certified_generic=bool(worst > 0 and pred == c_t and not tied),
-        margin=worst, limiting_region=None), limiting
+        certified_generic=bool(gap[lim] > 0 and pred == c_t and not tied),
+        margin=int(gap[lim]), limiting_region=regions[lim])
 
 
 def certify_all(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
@@ -470,7 +397,9 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
     b, h, w, c = maps.shape
     labels = validate_labels(labels, b, c)
     area = rects[4]
-    if r_max < area.max(initial=0):
+    if not len(area):
+        raise ValueError("region set must be non-empty")
+    if r_max < area.max():
         raise ValueError(f"r_max {r_max} is below the largest dependency-rectangle "
                          f"area {area.max()}")
     factors = interval_factors(rects, h, w, dtype)

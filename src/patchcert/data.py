@@ -9,7 +9,6 @@ from typing import Tuple
 
 import numpy as np
 
-CIFAR_SHAPE = (32, 32, 3)
 CIFAR_RECORD = 1 + 32 * 32 * 3
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
@@ -92,11 +91,6 @@ def load_cifar10_split(directory, split: str) -> DatasetHandle:
              for name in CIFAR_SPLIT_FILES[split]]
     images, labels = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return DatasetHandle(images, labels, split, f"cifar10:{directory}")
-
-
-def load_cifar10(directory) -> Tuple[DatasetHandle, DatasetHandle]:
-    """Load the six standard binary batches from a directory."""
-    return load_cifar10_split(directory, "train"), load_cifar10_split(directory, "test")
 
 
 def synth_textures(n_per_class: int, h: int, w: int, seed: int,

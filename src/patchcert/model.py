@@ -34,15 +34,6 @@ BLOCK_KERNELS = {
     13: (3, 3, 3, 1, 3, 1, 3, 1),
 }
 
-# Strided large-input variants; declared for geometry only (blocks 1 and 3
-# use stride 2), not buildable as identity-skip models.
-STRIDED_BLOCK_KERNELS = {
-    17: (3, 1, 3, 1, 3, 1, 1, 1),
-    25: (3, 1, 3, 1, 3, 1, 3, 1),
-    29: (3, 3, 3, 1, 3, 1, 3, 1),
-}
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description: enough to rebuild both the parameter shapes
@@ -100,18 +91,6 @@ def cifar_spec(rf: int, *, input_shape=(32, 32, 3), width: int = 64,
     return spec
 
 
-def strided_layer_geom(rf: int) -> List[LayerGeom]:
-    """Layer geometry of the large-input strided variants (geometry only)."""
-    if rf not in STRIDED_BLOCK_KERNELS:
-        raise ValueError(f"no strided kernel table for rf {rf}")
-    kernels = STRIDED_BLOCK_KERNELS[rf]
-    strides = tuple(2 if i in (0, 2) else 1 for i in range(len(kernels)))
-    layers = [LayerGeom(kernel=3)]
-    layers += [LayerGeom(kernel=k, stride=s) for k, s in zip(kernels, strides)]
-    layers.append(LayerGeom(kernel=1))
-    return layers
-
-
 @dataclass
 class Parameters:
     """Named parameter arrays plus which of them the optimizer may touch.
@@ -137,7 +116,7 @@ def parameter_shapes(spec: NetworkSpec) -> Dict[str, Tuple[int, ...]]:
     if any(s != 1 for s in spec.block_strides):
         raise ValueError(
             f"spec {spec.name!r} uses strided blocks; identity-skip models are "
-            "stride-1 only (strided variants are declared for geometry only)")
+            "stride-1 only")
     shapes: Dict[str, Tuple[int, ...]] = {}
 
     def conv(name: str, k: int, ci: int, co: int, bias: bool = False):
@@ -193,16 +172,17 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
     writes its large arrays into the workspace `ws` under its layer name, if
     one is given (see `core.Workspace` for how long they stay valid).
 
-    Without `inside`, x is whole images of the spec's input shape and every
-    conv pads by k//2. With `inside`, a boolean (B,H,W) mask of the cells of
-    x that lie in the image, x is a window of zero-padded images. Along an
-    axis where x is as long as the image, x is the whole image and every
-    conv pads by k//2 along it. Along any other axis x is a window of at
-    least rf cells and every conv runs unpadded along it: each spatial conv
-    (k > 1) shrinks the window by k//2 per side, so the maps come out rf//2
-    cells shorter per side. Before every spatial conv after the stem, the
-    cells outside the image are zeroed, as the padding of the padded model
-    is, and each skip is centre-cropped to its block's output window. Every
+    Without `inside`, x is whole images of the spec's input shape, every
+    cell in the image, and every conv pads by k//2. With `inside`, a boolean
+    (B,H,W) mask of the cells of x that lie in the image, x is a window of
+    zero-padded images. Along an axis where x is as long as the image, x is
+    the whole image and every conv pads by k//2 along it. Along any other
+    axis x is a window of at least rf cells and every conv runs unpadded
+    along it: each spatial conv (k > 1) shrinks the window by k//2 per side,
+    so the maps come out rf//2 cells shorter per side. Before every spatial
+    conv after the stem, the cells outside the image are zeroed, as the
+    padding of the padded model is, and each skip is centre-cropped to its
+    block's output window. Every
     output cell in the image has the same bits as in the padded forward of
     the whole image. So has the gradient of a loss on those cells with
     respect to an input cell in the image whose outputs in the image all lie
@@ -216,10 +196,12 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         data = x.data
     if data.ndim != 4:
         raise ValueError(f"input must be (B,h,w,c) or (h,w,c), got shape {data.shape}")
+    valid = tuple(n != size for n, size in zip(data.shape[1:3], spec.input_shape[:2]))
     if inside is None:
         if data.shape[1:] != tuple(spec.input_shape):
             raise ValueError(
                 f"input shape {data.shape[1:]} does not match spec input {spec.input_shape}")
+        inside = np.ones(data.shape[:3], dtype=bool)
     else:
         rf = receptive_field(spec.layer_geom(), *spec.input_shape[:2]).rf_h
         if training:
@@ -227,13 +209,12 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         if inside.dtype != bool or inside.shape != data.shape[:3]:
             raise ValueError(f"in-image mask of {inside.dtype} {inside.shape} does not match "
                              f"the input's {data.shape[:3]}")
-        valid = tuple(n != size for n, size in zip(data.shape[1:3], spec.input_shape[:2]))
         if data.shape[3] != spec.input_shape[2] or \
                 any(v and n < rf for v, n in zip(valid, data.shape[1:3])):
             raise ValueError(f"input window {data.shape[1:]} needs {spec.input_shape[2]} "
                              f"channels and, along an axis shorter or longer than the "
                              f"image's, at least {rf} cells")
-        ring = not inside.all()
+    ring = not inside.all()
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("input pixels must lie in [0,1]")
 
@@ -245,13 +226,11 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         # certification needs; training then moves them toward the batch's.
         stats = (t[norm + ".gamma"], t[norm + ".beta"], t[norm + ".running_mean"].data,
                  t[norm + ".running_var"].data)
-        padding = k // 2
-        if inside is not None:
-            padding = tuple(0 if v else k // 2 for v in valid)
-            if k > 1 and ring and inp is not x:
-                mh, mw = ((n - m) // 2 for n, m in zip(inside.shape[1:], inp.shape[1:3]))
-                inp = core.zero_outside(
-                    inp, inside[:, mh:mh + inp.shape[1], mw:mw + inp.shape[2]], tape=tape)
+        if k > 1 and ring and inp is not x:
+            mh, mw = ((n - m) // 2 for n, m in zip(inside.shape[1:], inp.shape[1:3]))
+            inp = core.zero_outside(
+                inp, inside[:, mh:mh + inp.shape[1], mw:mw + inp.shape[2]], tape=tape)
+        padding = tuple(0 if v else k // 2 for v in valid)
         return core.conv2d(inp, t[conv + ".kernel"], padding=padding, norm=stats, skip=skip,
                            relu=True, momentum=NORM_MOMENTUM if training else None,
                            eps=NORM_EPS, tape=tape, ws=ws, layer=conv)
@@ -260,8 +239,8 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
     for i, k in enumerate(spec.block_kernels):
         y = conv_norm_relu(h, f"block{i}.conv1", f"block{i}.norm1", k)
         h = conv_norm_relu(y, f"block{i}.conv2", f"block{i}.norm2", 1,
-                           skip=h if inside is None else core.center_crop(
-                               h, tuple(k // 2 if v else 0 for v in valid), tape=tape))
+                           skip=core.center_crop(h, tuple(k // 2 if v else 0 for v in valid),
+                                                 tape=tape))
     logits = core.conv2d(h, t["head.kernel"], t["head.bias"], tape=tape, ws=ws, layer="head")
     scores = core.activation(logits, mode, tape=tape)
     return logits, scores

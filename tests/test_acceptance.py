@@ -8,9 +8,9 @@ import pytest
 
 from patchcert import core, data
 from patchcert.attack import AttackConfig, pgd_patch_attack
-from patchcert.certify import (build_integral_image, certify_all,
-                               certify_batch, certify_sum, classify,
-                               region_sum, validate_score_map)
+from patchcert.certify import (certify_all, certify_batch, certify_sum,
+                               classify, exact_sum_dtype, interval_factors,
+                               outside_sums, validate_score_map)
 from patchcert.core import GradTape, Tensor
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
                                 dependency_region, enumerate_regions, r_max)
@@ -121,27 +121,25 @@ def test_criterion_2_soundness_by_exhaustion():
               f"certified cases, zero misclassifications, {elapsed:.1f}s")
 
 
-def test_criterion_3_integral_image_equivalence():
-    """Summed-area-table rectangle sums equal naive sums exactly on 200 random
-    maps for every rectangle up to 6x6."""
+def test_criterion_3_rectangle_sum_exactness():
+    """Interval-product rectangle sums (certify.outside_sums) equal naive
+    sums exactly on 200 random maps for every rectangle up to 6x6."""
     rng = np.random.default_rng(303)
     t0 = time.perf_counter()
     maps = rng.integers(-1, 2, size=(200, 8, 8, 3)).astype(np.int8)
-    tables = [build_integral_image(m) for m in maps]
-    rect_count = 0
-    for hh in range(1, 7):
-        for ww in range(1, 7):
-            for r0 in range(0, 8 - hh + 1):
-                for c0 in range(0, 8 - ww + 1):
-                    r1, c1 = r0 + hh, c0 + ww
-                    rect_count += 1
-                    naive = maps[:, r0:r1, c0:c1, :].sum(axis=(1, 2), dtype=np.int64)
-                    for k in range(200):
-                        got = region_sum(tables[k], r0, r1, c0, c1)
-                        assert np.array_equal(got, naive[k])
+    boxes = [(r0, r0 + hh, c0, c0 + ww)
+             for hh in range(1, 7) for ww in range(1, 7)
+             for r0 in range(0, 8 - hh + 1) for c0 in range(0, 8 - ww + 1)]
+    r0, r1, c0, c1 = (np.array(v, dtype=np.int64) for v in zip(*boxes))
+    rects = (r0, r1, c0, c1, (r1 - r0) * (c1 - c0))
+    total, outside = outside_sums(maps, interval_factors(rects, 8, 8, exact_sum_dtype(8, 8)))
+    assert np.array_equal(total, maps.sum(axis=(1, 2), dtype=np.int64))
+    for l, (a, b, c, d) in enumerate(boxes):
+        naive = maps[:, a:b, c:d, :].sum(axis=(1, 2), dtype=np.int64)
+        assert np.array_equal(total - outside[:, :, l], naive)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    report(3, f"{rect_count} rectangles x 200 maps, exact integer agreement, "
+    report(3, f"{len(boxes)} rectangles x 200 maps, exact integer agreement, "
               f"{elapsed:.1f}s")
 
 
@@ -339,7 +337,7 @@ def test_criterion_8_attack_certificate_consistency(desk_run):
 
 def test_criterion_9_certification_throughput(tmp_path):
     """cmd_bench certifies 10000 random 32x32x10 maps against all 784 5x5
-    regions via the integral-image path in under 5 seconds single-core; the
+    regions via the interval-product path in under 5 seconds single-core; the
     global-margin check costs the same regardless of the region count."""
     import csv
 

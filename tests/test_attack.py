@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from patchcert import attack, certify
 from patchcert.attack import (AttackConfig, AttackResult, apply_patch,
                               pgd_patch_attack, select_region_and_target)
-from patchcert.certify import build_integral_image, delta_map
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_region,
                                 enumerate_regions)
 from patchcert.core import GradTape, Tensor, class_sums
@@ -105,7 +104,7 @@ class TestSelection:
             c_t = int(rng.integers(0, c))
             s = rng.integers(0, 2, size=(7, 7, c)).astype(np.uint8)
             regions = enumerate_regions(7, 7, 2, 3)
-            dmap = delta_map(s, c_t)
+            dmap = s[:, :, c_t:c_t + 1].astype(np.int64) - s
             best = None
             for li, region in enumerate(regions):
                 dep = dependency_region(region, layers, 7, 7)
@@ -127,13 +126,13 @@ class TestSelection:
         s = rng.integers(0, 2, size=(8, 8, 3)).astype(np.uint8)
         regions = enumerate_regions(8, 8, 3, 3)
         region, target = select_region_and_target(s, 0, regions, layers)
-        table = build_integral_image(delta_map(s, 0))
-        total = table[-1, -1]
+        delta = s[:, :, :1].astype(np.int64) - s
+        total = delta.sum(axis=(0, 1))
 
         def outside(reg, cc):
             dep = dependency_region(reg, layers, 8, 8)
-            inside = certify.region_sum(table, dep.row_start, dep.row_stop,
-                                        dep.col_start, dep.col_stop)
+            inside = naive_rect_sum(delta, dep.row_start, dep.row_stop,
+                                    dep.col_start, dep.col_stop)
             return int(total[cc] - inside[cc])
 
         chosen = outside(region, target)

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchcert import certify
+from patchcert import attack, certify
 from patchcert.attack import select_region_and_target
-from patchcert.certify import (G_SUM, build_integral_image, certify_all,
+from patchcert.certify import (G_SUM, AggregatorSpec, certify_all,
                                certify_batch, certify_batch_cheap,
                                certify_batch_relaxed, certify_cheap,
-                               certify_generic, certify_generic_masks,
-                               certify_sum, classify, delta_map,
+                               certify_generic, certify_sum, classify,
                                load_score_maps, register_aggregator,
-                               region_sum, save_score_maps, worst_case_map)
-from patchcert.geometry import (DependencyRegion, LayerGeom, PatchRegion,
-                                dependency_rects, dependency_region,
-                                enumerate_regions, r_max, receptive_field)
+                               save_score_maps)
+from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
+                                dependency_region, enumerate_regions, r_max,
+                                receptive_field)
 
 from conftest import brute_force_certified, naive_rect_sum
 
@@ -51,7 +50,7 @@ class TestClassify:
         s = np.ones((2, 2, 3), dtype=np.uint8)
         pred, sums = classify(s)
         assert pred == 0
-        assert certify.is_tied(sums)
+        assert (sums == sums.max()).sum() == 3
 
     def test_matches_naive_loop(self, rng):
         s = rng.integers(0, 2, size=(8, 8, 10)).astype(np.uint8)
@@ -106,72 +105,68 @@ class TestClassCounts:
         assert np.array_equal(pred, labels) and cert.all()
 
 
-class TestDeltaMap:
-    def test_signs(self):
-        s = np.zeros((2, 2, 2), dtype=np.uint8)
-        s[:, :, 0] = 1
-        d = delta_map(s, 0)
-        assert (d[:, :, 1] == 1).all()
-        assert (d[:, :, 0] == 0).all()
-        d = delta_map(s, 1)
-        assert (d[:, :, 0] == -1).all()
-        assert (d[:, :, 1] == 0).all()
-
-    def test_true_channel_zero_for_any_map(self, rng):
-        s = rng.integers(0, 2, size=(4, 4, 3)).astype(np.uint8)
-        for c_t in range(3):
-            assert (delta_map(s, c_t)[:, :, c_t] == 0).all()
-
-
 class TestWorstCaseMap:
-    def test_empty_region_is_identity(self, rng):
-        s = rng.integers(0, 2, size=(4, 4, 3)).astype(np.uint8)
-        out = worst_case_map(s, 0, DependencyRegion(0, 0, 0, 0))
-        assert np.array_equal(out, s)
+    """certify_generic hands the aggregator each region's worst-case map:
+    every cell of the dependency rectangle votes 1 for every class but the
+    true one and 0 for it."""
+
+    @staticmethod
+    def worst_maps(s, c_t, regions, rects):
+        seen = []
+
+        def spy(m):
+            seen.append(m.copy())
+            return G_SUM.fn(m)
+
+        certify_generic(s, c_t, regions, rects, AggregatorSpec("spy", spy))
+        return seen
 
     def test_full_grid(self, rng):
         s = rng.integers(0, 2, size=(4, 4, 3)).astype(np.uint8)
-        out = worst_case_map(s, 1, DependencyRegion(0, 4, 0, 4))
+        regions = [PatchRegion(1, 1, 2, 2)]
+        rects = dependency_rects(regions, [LayerGeom(3)], 4, 4)
+        assert [int(v[0]) for v in rects[:4]] == [0, 4, 0, 4]
+        (out,) = self.worst_maps(s, 1, regions, rects)
         sums = out.sum(axis=(0, 1))
         assert sums[1] == 0
         assert sums[0] == 16 and sums[2] == 16
 
     def test_1d_example_flips_plus5_to_plus1(self):
         s, layers, regions = one_d_example()
-        dep = dependency_region(regions[0], layers, 1, 8)
-        wc = worst_case_map(s, 0, dep)
+        (wc,) = self.worst_maps(s, 0, regions, dependency_rects(regions, layers, 1, 8))
         d_wc = wc[:, :, 0].astype(int) - wc[:, :, 1].astype(int)
-        assert delta_map(s, 0)[:, :, 1].sum() == 5  # clean aggregate is +5
+        assert (s[:, :, 0].astype(int) - s[:, :, 1]).sum() == 5  # clean aggregate is +5
         assert d_wc.sum() == 1
 
 
-class TestIntegralImage:
-    def test_small_known_sum(self):
-        d = np.array([[1, 0], [1, 1]], dtype=np.int8)[:, :, None]
-        table = build_integral_image(d)
-        assert region_sum(table, 0, 2, 0, 2)[0] == 3
-        assert region_sum(table, 1, 2, 0, 2)[0] == 2
+class TestRivalReduction:
+    """The one rival reduction, as the global gap and the attack's selection
+    read it, against plain loops; neither may change its caller's sums."""
 
-    def test_zero_map(self):
-        table = build_integral_image(np.zeros((3, 3, 2), dtype=np.int8))
-        assert (table == 0).all()
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    def test_global_gap_matches_min_over_rivals(self, rng, dtype):
+        sums = rng.integers(0, 6, size=(50, 4)).astype(dtype)
+        if dtype == np.float64:
+            sums += rng.random(sums.shape)
+        labels = rng.integers(0, 4, size=50)
+        before = sums.copy()
+        pred, tied, gap = certify._global_gap(sums, labels)
+        assert np.array_equal(sums, before)
+        assert gap.dtype == np.promote_types(dtype, np.int64)
+        for row, y, p, t, got in zip(sums, labels, pred, tied, gap):
+            assert got == min(row[y] - row[k] for k in range(4) if k != y)
+            assert p == row.argmax() and t == ((row == row.max()).sum() > 1)
 
-    def test_first_row_and_column_zero(self, rng):
-        d = rng.integers(-1, 2, size=(5, 6, 2)).astype(np.int8)
-        table = build_integral_image(d)
-        assert (table[0, :, :] == 0).all()
-        assert (table[:, 0, :] == 0).all()
-
-    def test_matches_naive_sums_exactly(self, rng):
-        for _ in range(30):
-            d = rng.integers(-1, 2, size=(7, 7, 3)).astype(np.int8)
-            table = build_integral_image(d)
-            for _ in range(20):
-                r0, c0 = rng.integers(0, 7, size=2)
-                r1 = int(rng.integers(r0 + 1, 8))
-                c1 = int(rng.integers(c0 + 1, 8))
-                want = naive_rect_sum(d, r0, r1, c0, c1)
-                assert np.array_equal(region_sum(table, r0, r1, c0, c1), want)
+    def test_weakest_matches_double_loop_and_keeps_outside(self, rng):
+        outside = rng.integers(0, 5, size=(20, 3, 12)).astype(np.int32)
+        labels = rng.integers(0, 3, size=20)
+        before = outside.copy()
+        lim, target = attack._weakest(outside, labels)
+        assert np.array_equal(outside, before)
+        for o, y, got in zip(outside, labels, zip(lim, target)):
+            pairs = [(int(o[y, l]) - int(o[k, l]), l, k)
+                     for l in range(12) for k in range(3) if k != y]
+            assert tuple(int(v) for v in got) == min(pairs)[1:]
 
 
 class TestConditions:
@@ -220,8 +215,14 @@ class TestConditions:
 
     def test_empty_regions_rejected(self):
         s = np.ones((4, 4, 2), dtype=np.uint8)
-        with pytest.raises(ValueError, match="non-empty"):
-            certify_sum(s, 0, [], [LayerGeom(1)])
+        rects = dependency_rects([], [LayerGeom(1)], 4, 4)
+        y = np.zeros(3, dtype=np.int64)
+        for call in (lambda: certify_sum(s, 0, [], [LayerGeom(1)]),
+                     lambda: certify_generic(s, 0, [], rects),
+                     lambda: certify_batch(np.stack([s] * 3), y, rects, 0),
+                     lambda: certify_batch_relaxed(np.ones((3, 4, 4, 2)), y, rects, 0)):
+            with pytest.raises(ValueError, match="region set must be non-empty"):
+                call()
 
     def test_sum_matches_brute_force_oracle(self, rng):
         layers = [LayerGeom(3), LayerGeom(3)]
@@ -252,6 +253,7 @@ class TestConditions:
                                 G_SUM)
             assert bool(a.certified_sum) == bool(b.certified_generic)
             assert a.margin == b.margin
+            assert a.limiting_region == b.limiting_region
 
     def test_cheap_implies_sum(self, rng):
         layers = [LayerGeom(3), LayerGeom(1)]
@@ -269,13 +271,55 @@ class TestConditions:
                 assert full.certified_sum
         assert hits > 0  # the implication was actually exercised
 
+    @pytest.mark.parametrize("fn, certifies", [
+        # a rival's maximum inside the rectangle is 1: never certified
+        (lambda m: m.max(axis=(0, 1)), False),
+        # each row's votes clipped at 3, then summed over rows
+        (lambda m: np.minimum(m.sum(axis=1, dtype=np.int64), 3).sum(axis=0), True),
+    ], ids=["max", "row_clipped_sum"])
+    def test_generic_non_sum_aggregator_matches_plain_loop(self, rng, fn, certifies):
+        """Flag, margin and limiting region of a monotone aggregator other
+        than the sum equal those of a plain per-region loop."""
+        g = register_aggregator("under_test", fn)
+        layers = [LayerGeom(3)]
+        regions = enumerate_regions(7, 7, 1, 2)
+        rects = dependency_rects(regions, layers, 7, 7)
+        boxes = list(zip(*(v.tolist() for v in rects[:4])))
+        hits = 0
+        for _ in range(40):
+            c = int(rng.integers(2, 4))
+            c_t = int(rng.integers(0, c))
+            s = random_map(rng, 7, 7, c, p_true=rng.uniform(0.5, 1.0),
+                           p_other=rng.uniform(0.0, 0.3), c_t=c_t)
+            got = certify_generic(s, c_t, regions, rects, g)
+            sums = s.sum(axis=(0, 1), dtype=np.int64)
+            clean = sums.argmax() == c_t and (sums == sums.max()).sum() == 1
+            worst = None
+            for region, (r0, r1, c0, c1) in zip(regions, boxes):
+                wc = s.copy()
+                wc[r0:r1, c0:c1, :] = 1
+                wc[r0:r1, c0:c1, c_t] = 0
+                scores = np.asarray(fn(wc), dtype=np.int64)
+                gap = min(int(scores[c_t] - scores[k]) for k in range(c) if k != c_t)
+                if worst is None or gap < worst[0]:
+                    worst = (gap, region)
+            assert got.margin == worst[0]
+            assert got.limiting_region == worst[1]
+            assert got.certified_generic == bool(clean and worst[0] > 0)
+            hits += got.certified_generic
+        assert (hits > 0) == certifies
+
     def test_generic_with_no_effect_regions(self):
-        # every dependency region empty: certified iff strictly dominant
+        # the only dependency rectangle already votes against class 0, so its
+        # worst case is the clean map: certified iff strictly dominant
         s = np.zeros((3, 3, 2), dtype=np.uint8)
-        s[0, 0, 0] = 1
-        masks = [np.zeros((3, 3), dtype=bool)]
-        assert certify_generic_masks(s, 0, masks).certified_generic
-        assert not certify_generic_masks(s, 1, masks).certified_generic
+        s[0, :, 0] = 1
+        s[2, 2, 1] = 1
+        regions = [PatchRegion(2, 2, 1, 1)]
+        rects = dependency_rects(regions, [LayerGeom(1)], 3, 3)
+        res = certify_generic(s, 0, regions, rects)
+        assert res.certified_generic and res.margin == 3 - 1
+        assert not certify_generic(s, 1, regions, rects).certified_generic
 
     def test_generic_rejects_rects_of_another_region_set(self):
         s = np.ones((6, 6, 2), dtype=np.uint8)
@@ -422,7 +466,6 @@ class TestLabelValidation:
                      lambda: certify_sum(s, c_t, regions, layers),
                      lambda: certify_generic(s, c_t, regions,
                                              dependency_rects(regions, layers, 6, 6)),
-                     lambda: certify_generic_masks(s, c_t, [np.ones((6, 6), bool)]),
                      lambda: select_region_and_target(s, c_t, regions, layers)):
             with pytest.raises(ValueError, match="labels"):
                 call()

@@ -4,7 +4,7 @@ import pytest
 from patchcert.data import (CIFAR_RECORD, CIFAR_TEST_FILE, CIFAR_TRAIN_FILES,
                             LabeledImage, augment,
                             decode_records, encode_records, export_records,
-                            flip_horizontal, load_cifar10, pad_crop,
+                            flip_horizontal, load_cifar10_split, pad_crop,
                             synth_textures)
 
 
@@ -55,21 +55,22 @@ class TestLoadCifar10:
         for name in CIFAR_TRAIN_FILES:
             (tmp_path / name).write_bytes(bytes(10000 * CIFAR_RECORD))
         (tmp_path / CIFAR_TEST_FILE).write_bytes(bytes(10000 * CIFAR_RECORD))
-        train, test = load_cifar10(tmp_path)
+        train = load_cifar10_split(tmp_path, "train")
+        test = load_cifar10_split(tmp_path, "test")
         assert len(train) == 50000
         assert len(test) == 10000
         assert train.image_shape == (32, 32, 3)
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(ValueError, match="data_batch_1.bin"):
-            load_cifar10(tmp_path)
+            load_cifar10_split(tmp_path, "train")
 
     def test_wrong_size_rejected(self, tmp_path):
         for name in CIFAR_TRAIN_FILES:
             (tmp_path / name).write_bytes(bytes(10000 * CIFAR_RECORD))
         (tmp_path / CIFAR_TEST_FILE).write_bytes(b"\x00" * 100)
         with pytest.raises(ValueError, match="multiple"):
-            load_cifar10(tmp_path)
+            load_cifar10_split(tmp_path, "test")
 
 
 def mean_filter_3x3(img):

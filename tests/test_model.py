@@ -7,8 +7,7 @@ from patchcert import certify, model
 from patchcert.core import GradTape, Tensor
 from patchcert.geometry import PatchRegion, dependency_region, receptive_field
 from patchcert.model import (NetworkSpec, build_model, cifar_spec, forward,
-                             load_checkpoint, save_checkpoint,
-                             strided_layer_geom)
+                             load_checkpoint, save_checkpoint)
 
 from conftest import reference_forward
 
@@ -45,13 +44,13 @@ class TestBuild:
             assert spec.output_shape() == (32, 32, 10)
 
     def test_strided_geoms_declared_but_not_buildable(self):
-        for rf in (17, 25, 29):
-            info = receptive_field(strided_layer_geom(rf), 224, 224)
-            assert info.rf_h == rf
-            assert (info.h_out, info.w_out) == (56, 56)
+        # a strided spec still has a geometry, but no identity-skip model
         spec = NetworkSpec(name="strided", input_shape=(224, 224, 3), stem_kernel=3,
-                           block_kernels=(3, 1), block_strides=(2, 1), width=8,
-                           classes=10)
+                           block_kernels=(3, 1, 3, 1), block_strides=(2, 1, 2, 1),
+                           width=8, classes=10)
+        info = receptive_field(spec.layer_geom(), 224, 224)
+        assert info.rf_h == 3 + 2 + 4  # the stem, then 3x3 convs after strides 1 and 2
+        assert (info.h_out, info.w_out) == (56, 56)
         with pytest.raises(ValueError, match="stride"):
             build_model(spec, seed=0)
 
@@ -196,6 +195,20 @@ class TestFusedForward:
         forward(params, spec, np.zeros((2, 8, 8, 2), dtype=np.float32), tape=tape)
         convs = 1 + 2 * len(spec.block_kernels) + 1
         assert len(tape) == convs + 1  # plus the head activation
+
+    def test_all_inside_mask_is_the_unmasked_forward(self, rng):
+        # whole images are the windowed path's case with no unpadded axis:
+        # the same bits, and no masking or cropping record on the tape
+        spec, params = random_model(7, 4)
+        x = rng.random((3, 8, 8, 2), dtype=np.float32)
+        runs = []
+        for inside in (None, np.ones((3, 8, 8), dtype=bool)):
+            tape = GradTape()
+            logits, scores = forward(params, spec, x, "sigmoid", tape=tape, inside=inside)
+            runs.append((logits.data, scores.data, len(tape)))
+        (logits, scores, records), (m_logits, m_scores, m_records) = runs
+        assert np.array_equal(logits, m_logits) and np.array_equal(scores, m_scores)
+        assert records == m_records == 1 + 2 * len(spec.block_kernels) + 1 + 1
 
 
 class TestCheckpoint:
