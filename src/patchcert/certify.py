@@ -12,12 +12,16 @@ one chunk body decides for binary and relaxed maps alike.
 from __future__ import annotations
 
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import Workspace, _buffer
 from .geometry import LayerGeom, PatchRegion, dependency_rects
+from .runio import worker_count
 
 SCORE_MAP_MAGIC = b"PCSM"
 
@@ -129,15 +133,21 @@ def _indicators(intervals: np.ndarray, size: int, dtype) -> np.ndarray:
     return ((at >= bounds[:, :1]) & (at < bounds[:, 1:])).astype(dtype)
 
 
-def outside_sums(maps: np.ndarray,
-                 factors: IntervalFactors) -> Tuple[np.ndarray, np.ndarray]:
+def outside_sums(maps: np.ndarray, factors: IntervalFactors,
+                 ws: Optional[Workspace] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Class sums of (n, h, w, c) maps in total and outside each rectangle of
     `factors`, as (total, outside) of shapes (n, c) and (n, c, L).
 
     The inside sums of every rectangle and class are the entries of
-    rows . S_c . cols_t: one GEMM contracts the columns of all (map, class,
-    row) lines, then one stacked product contracts the rows. The full
-    intervals put each class total in the last entry.
+    rows . S_c . cols_t, two stacked products with one (h, w) slice per BLAS
+    call: at 32x32 maps each call is below OpenBLAS's threading threshold, so
+    it runs on the calling thread and _by_chunk's threads do not contend for
+    BLAS's. The full intervals put each class total in the last entry.
+
+    With a workspace (core.Workspace) the products and `outside` are its
+    buffers, so chunks that share one allocate and fault them in once, not
+    once per chunk as glibc's heap trimming can make them; `outside` is then
+    valid until the next call with that workspace.
 
     Exactness: for 0/1 maps every partial sum of either product, in whatever
     order BLAS adds, is a non-negative integer of at most h*w, so it is exact
@@ -147,19 +157,24 @@ def outside_sums(maps: np.ndarray,
     """
     n, h, w, c = maps.shape
     p1, q1 = len(factors.rows), factors.cols_t.shape[1]
-    x = np.empty((n, c, h, w), dtype=factors.rows.dtype)
+    dtype = factors.rows.dtype
+    x = _buffer(ws, ("maps",), (n, c, h, w), dtype)
     x[...] = maps.transpose(0, 3, 1, 2)
-    prod = np.matmul(factors.rows, (x.reshape(n * c * h, w) @ factors.cols_t)
-                     .reshape(n, c, h, q1))
+    cols = np.matmul(x, factors.cols_t, out=_buffer(ws, ("cols",), (n, c, h, q1), dtype))
+    prod = np.matmul(factors.rows, cols, out=_buffer(ws, ("prod",), (n, c, p1, q1), dtype))
     if maps.dtype.kind != "f":
-        prod = prod.astype(np.int32)
-    total = prod[..., -1, -1]
+        exact = _buffer(ws, ("prod",), prod.shape, np.int32)
+        np.copyto(exact, prod, casting="unsafe")
+        prod = exact
+    total = prod[..., -1, -1].copy()
     if factors.index is None:
-        # a strided copy: on 32 maps at L=784, about 3x faster than the take
-        inside = prod[..., :-1, :-1].reshape(n, c, (p1 - 1) * (q1 - 1))
-    else:
-        inside = prod.reshape(n, c, p1 * q1).take(factors.index, axis=-1)
-    return total, total[..., None] - inside
+        outside = _buffer(ws, ("outside",), (n, c, p1 - 1, q1 - 1), prod.dtype)
+        np.subtract(total[..., None, None], prod[..., :-1, :-1], out=outside)
+        return total, outside.reshape(n, c, (p1 - 1) * (q1 - 1))
+    outside = _buffer(ws, ("outside",), (n, c, len(factors.index)), prod.dtype)
+    np.subtract(total[..., None], prod.reshape(n, c, p1 * q1).take(factors.index, axis=-1),
+                out=outside)
+    return total, outside
 
 
 def _split_rival(outside: np.ndarray, labels: np.ndarray):
@@ -187,20 +202,37 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     return pred, tied, (out_true - rival)[:, 0]
 
 
-# Maps per chunk of the per-region paths, read at each call. At 32 maps the
-# chunk temporaries of 32x32x10 maps at |L|=784 take about 1 MB each. On a
-# shared 2-vCPU Xeon VM (OpenBLAS, 10k maps) chunks of 16 to 128 maps ran
-# within run-to-run spread of each other, chunks of 8 maps about 10% slower
-# and of 2 maps about 45% slower, from per-call overhead. The global-margin
-# path is not chunked: class_counts' temporaries are 1/h of the maps.
+# Maps per chunk of the per-region paths, read at each call. At 32 maps each
+# thread's workspace buffers for 32x32x10 maps at |L|=784 take about 1 MB
+# each. On a shared 2-vCPU Xeon VM (OpenBLAS, 10k maps, two chunk threads)
+# chunks of 32 to 128 maps ran within run-to-run spread of each other
+# (medians 319-340 ms), chunks of 16 maps about 30% slower and of 8 maps
+# about 50% slower, from per-call overhead. The global-margin path is not
+# chunked: class_counts' temporaries are 1/h of the maps.
 MAP_CHUNK = 32
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
-    """fn(labels, maps) on consecutive chunks, each of its (n,) outputs
-    concatenated; an empty batch still runs once to give typed outputs."""
-    parts = [fn(labels[lo:lo + chunk], maps[lo:lo + chunk])
-             for lo in range(0, max(len(labels), 1), chunk)]
+    """fn(labels, maps, ws) on consecutive chunks, each of its (n,) outputs
+    concatenated in chunk order; an empty batch still runs once to give typed
+    outputs. Several chunks run on a pool of up to runio.worker_count()
+    threads, made for this call and joined before it returns; numpy and BLAS
+    release the GIL, and each chunk's result does not depend on the thread.
+    Each thread hands every chunk it runs its own core.Workspace `ws`."""
+    starts = range(0, max(len(labels), 1), chunk)
+    local = threading.local()
+
+    def run(lo):
+        if not hasattr(local, "ws"):
+            local.ws = Workspace()
+        return fn(labels[lo:lo + chunk], maps[lo:lo + chunk], local.ws)
+
+    workers = min(worker_count(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run, starts))
+    else:
+        parts = [run(lo) for lo in starts]
     return [np.concatenate(col) for col in zip(*parts)]
 
 
@@ -268,23 +300,33 @@ def _sum_aggregator(s: np.ndarray) -> np.ndarray:
 G_SUM = AggregatorSpec(name="sum", fn=_sum_aggregator)
 
 
+def _class_scores(g: AggregatorSpec, s: np.ndarray) -> np.ndarray:
+    """g's class scores of an (h,w,c) map: a (c,) array of an integer dtype
+    that int64 holds. Real-valued scores are rejected, not truncated, so that
+    no float decides a generic certificate."""
+    scores = np.asarray(g.fn(s))
+    if scores.shape != s.shape[2:]:
+        raise ValueError(f"aggregator {g.name!r} must map (h,w,c) to (c,) class scores")
+    if not np.can_cast(scores.dtype, np.int64):
+        raise ValueError(f"aggregator {g.name!r} must give integer class scores, "
+                         f"got dtype {scores.dtype}")
+    return scores
+
+
 def register_aggregator(name: str,
                         fn: Callable[[np.ndarray], np.ndarray]) -> AggregatorSpec:
-    """Register an aggregator after a monotonicity probe on 64 random pairs
-    of score maps from a fixed seed: for s1 >= s2 elementwise, g(s1)_c >=
-    g(s2)_c must hold per class."""
+    """Register an aggregator after a probe on 64 random pairs of score maps
+    from a fixed seed: its class scores must be integers (_class_scores), and
+    monotone: for s1 >= s2 elementwise, g(s1)_c >= g(s2)_c per class."""
+    spec = AggregatorSpec(name=name, fn=fn)
     rng = np.random.default_rng(0)
     for _ in range(64):
         h, w, c = rng.integers(2, 7), rng.integers(2, 7), rng.integers(2, 5)
         s2 = rng.integers(0, 2, size=(h, w, c)).astype(np.uint8)
         s1 = np.maximum(s2, rng.integers(0, 2, size=(h, w, c)).astype(np.uint8))
-        g1 = np.asarray(fn(s1), dtype=np.float64)
-        g2 = np.asarray(fn(s2), dtype=np.float64)
-        if g1.shape != (c,) or g2.shape != (c,):
-            raise ValueError(f"aggregator {name!r} must map (h,w,c) to (c,) class scores")
-        if not (g1 >= g2).all():
+        if not (_class_scores(spec, s1) >= _class_scores(spec, s2)).all():
             raise ValueError(f"aggregator {name!r} failed the monotonicity probe")
-    return AggregatorSpec(name=name, fn=fn)
+    return spec
 
 
 def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
@@ -320,7 +362,7 @@ def certify_generic(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
         worst = s.copy()
         worst[top:bottom, left:right] = 1
         worst[top:bottom, left:right, c_t] = 0
-        scores[0, :, i] = g.fn(worst)
+        scores[0, :, i] = _class_scores(g, worst)
     out_true, rival = _split_rival(scores, labels)
     gap = out_true[0] - rival[0]
     lim = int(gap.argmin())
@@ -404,8 +446,8 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
                          f"area {area.max()}")
     factors = interval_factors(rects, h, w, dtype)
 
-    def run(y, s):
-        total, outside = outside_sums(s, factors)
+    def run(y, s, ws):
+        total, outside = outside_sums(s, factors, ws)
         out_true, rival = _split_rival(outside, y)
         worst = out_true - rival - area                      # (n, L)
         lim = worst.argmin(axis=1)

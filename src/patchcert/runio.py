@@ -84,8 +84,13 @@ def write_manifest(out_dir, subcommand: str, config: Dict, seed: int) -> RunMani
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Parallelism cap: min(requested, PATCHCERT_THREADS, cpu count)."""
-    cap = os.cpu_count() or 1
+    """Parallelism cap: min(requested, PATCHCERT_THREADS, CPUs this process
+    may run on). The CPUs are the process's affinity set where the platform
+    reports one, so taskset and cpusets count, and every CPU elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     env = os.environ.get("PATCHCERT_THREADS")
     if env:
         try:

@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchcert import attack, certify
+from patchcert import attack, certify, core
 from patchcert.attack import select_region_and_target
 from patchcert.certify import (G_SUM, AggregatorSpec, certify_all,
                                certify_batch, certify_batch_cheap,
@@ -368,6 +369,30 @@ class TestAggregatorRegistration:
         with pytest.raises(ValueError, match="class scores"):
             register_aggregator("scalar", lambda s: np.float64(s.sum()))
 
+    @staticmethod
+    def _mean(s):
+        return s.mean(axis=(0, 1))
+
+    def test_real_valued_scores_rejected(self):
+        with pytest.raises(ValueError, match="'mean' must give integer class scores"):
+            register_aggregator("mean", self._mean)
+
+    def test_generic_rejects_real_valued_scores(self):
+        """A spec built without the probe: truncating the mean's scores to
+        int64 gave margin 0 where every worst case keeps class 0 ahead by
+        34/36, and the sum certifies the same map with margin 34."""
+        s = np.zeros((6, 6, 3), dtype=np.uint8)
+        s[:, :, 0] = 1
+        regions = enumerate_regions(6, 6, 1, 1)
+        rects = dependency_rects(regions, [LayerGeom(1)], 6, 6)
+        summed = certify_generic(s, 0, regions, rects, G_SUM)
+        assert (summed.certified_generic, summed.margin) == (True, 34)
+        with pytest.raises(ValueError, match="'mean' must give integer class scores"):
+            certify_generic(s, 0, regions, rects, AggregatorSpec("mean", self._mean))
+        with pytest.raises(ValueError, match="'scalar' must map"):
+            certify_generic(s, 0, regions, rects,
+                            AggregatorSpec("scalar", lambda m: m.sum(dtype=np.int64)))
+
 
 class TestBatchPath:
     def test_agrees_with_single_path(self, rng, monkeypatch):
@@ -413,6 +438,75 @@ class TestBatchPath:
         assert np.array_equal(cert_s, batch.certified_sum)
         assert np.array_equal(cert_c, batch.certified_cheap)
         assert np.array_equal(pred, batch.predicted)
+
+
+class TestChunkThreads:
+    """The per-region paths give the same values and dtypes on any number of
+    chunk threads, in chunk order, and leave no thread running."""
+
+    LAYERS = [LayerGeom(3), LayerGeom(3)]
+    CHUNK = 4
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Set PATCHCERT_THREADS on a process that may run on 4 CPUs, so the
+        setting alone decides the thread count."""
+        monkeypatch.setattr(certify, "MAP_CHUNK", self.CHUNK)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+        def use(n):
+            monkeypatch.setenv("PATCHCERT_THREADS", str(n))
+        return use
+
+    def results(self, maps, labels, relaxed):
+        regions = enumerate_regions(8, 8, 3, 2)
+        rects = dependency_rects(regions, self.LAYERS, 8, 8)
+        rmax = int(rects[4].max())
+        return (list(vars(certify_batch(maps, labels, rects, rmax)).values())
+                + list(certify_batch_relaxed(relaxed, labels, rects, rmax)))
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3])
+    def test_thread_counts_agree(self, rng, threads, n):
+        labels = rng.integers(0, 3, size=n)
+        maps = np.zeros((n, 8, 8, 3), dtype=np.uint8)
+        for i, y in enumerate(labels):
+            maps[i] = random_map(rng, 8, 8, 3, p_true=rng.uniform(0.4, 1.0),
+                                 p_other=rng.uniform(0.0, 0.4), c_t=int(y))
+        relaxed = np.clip(maps + rng.uniform(-0.3, 0.3, size=maps.shape), 0.0, 1.0)
+        threads(1)
+        want = self.results(maps, labels, relaxed)
+        assert all(len(v) == n for v in want)
+        for k in (2, 3):
+            threads(k)
+            got = self.results(maps, labels, relaxed)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_chunks_leave_the_calling_thread(self, rng, threads, monkeypatch):
+        """With more than one chunk and thread the chunks run on pool
+        threads, which are joined when the call returns; with one thread or
+        one chunk they run on the calling thread."""
+        seen = []
+        inner = certify.outside_sums
+
+        def spy(*args):
+            seen.append(threading.get_ident())
+            return inner(*args)
+
+        monkeypatch.setattr(certify, "outside_sums", spy)
+        n = 3 * self.CHUNK
+        maps = np.stack([random_map(rng, 8, 8, 3) for _ in range(n)])
+        labels = np.zeros(n, dtype=np.int64)
+        before = threading.active_count()
+        for k, size, pooled in [(1, n, False), (3, self.CHUNK, False), (3, n, True)]:
+            threads(k)
+            seen.clear()
+            self.results(maps[:size], labels[:size], maps[:size].astype(np.float64))
+            assert len(seen) == 2 * (size // self.CHUNK)
+            assert (threading.get_ident() not in seen) == pooled
+            assert threading.active_count() == before
 
 
 class TestLabelValidation:
@@ -764,6 +858,34 @@ class TestIntervalProducts:
         assert np.array_equal(total[0], s.sum(axis=(0, 1)))
         for l, box in enumerate(zip(*(a.tolist() for a in rects[:4]))):
             assert np.array_equal(outside[0, :, l], total[0] - naive_rect_sum(s, *box))
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["binary", "relaxed"])
+    @pytest.mark.parametrize("pick", ["grid", "shuffled"])
+    def test_workspace_matches_fresh_arrays(self, rng, pick, relaxed):
+        """Chunks of changing size that share one workspace get the sums of
+        fresh arrays, and `total` is not overwritten by the next chunk."""
+        layers = [LayerGeom(3)] if pick == "grid" else self.LAYERS
+        regions = enumerate_regions(self.H_IN, self.W_IN, 3, 2)
+        if pick == "shuffled":
+            regions = [regions[i] for i in rng.permutation(len(regions))]
+        rects = dependency_rects(regions, layers, self.H_IN, self.W_IN)
+        info = receptive_field(layers, self.H_IN, self.W_IN)
+        maps = rng.random((24, info.h_out, info.w_out, 3))
+        if not relaxed:
+            maps = (maps < 0.5).astype(np.uint8)
+        factors = certify.interval_factors(rects, *maps.shape[1:3],
+                                           np.float64 if relaxed else np.float32)
+        assert (factors.index is None) == (pick == "grid")
+        ws = core.Workspace()
+        kept = []
+        for lo, hi in [(0, 7), (7, 10), (10, 24)]:
+            total, outside = certify.outside_sums(maps[lo:hi], factors, ws)
+            want = certify.outside_sums(maps[lo:hi], factors)
+            for got, ref in zip((total, outside), want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            kept.append((total, want[0]))
+        for total, ref in kept:
+            assert np.array_equal(total, ref)
 
     def test_exact_dtype_switches_at_two_to_the_24(self):
         assert certify.exact_sum_dtype(2 ** 12, 2 ** 12) == np.float32

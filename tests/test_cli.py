@@ -571,3 +571,16 @@ class TestEntryPoint:
         monkeypatch.setenv("PATCHCERT_THREADS", "abc")
         with pytest.raises(ValueError, match="PATCHCERT_THREADS"):
             worker_count()
+
+    def test_threads_capped_by_cpu_affinity(self, monkeypatch):
+        """The cap counts the CPUs the process may run on, not the machine's."""
+        from patchcert.runio import worker_count
+        monkeypatch.delenv("PATCHCERT_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3}, raising=False)
+        assert worker_count() == 1
+        assert worker_count(4) == 1
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert worker_count() == 3
+        monkeypatch.setenv("PATCHCERT_THREADS", "2")
+        assert worker_count() == 2
