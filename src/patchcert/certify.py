@@ -177,17 +177,21 @@ def outside_sums(maps: np.ndarray, factors: IntervalFactors,
     return total, outside
 
 
-def _split_rival(outside: np.ndarray, labels: np.ndarray):
+def _split_rival(outside: np.ndarray, labels: np.ndarray, ws: Optional[Workspace] = None):
     """(n, C, L) class sums -> (true-class sum, strongest rival sum), each
     (n, L): the one rival reduction of the per-region margins, the global
     gap, the generic condition and the attack's choice. Overwrites the
-    true-class rows of `outside`."""
-    rows = np.arange(len(labels))
-    out_true = outside[rows, labels]
+    true-class rows of `outside`. With a workspace both outputs are its
+    buffers, valid until the next call with it. `labels` must be valid
+    class indices (validate_labels), since no index is checked here."""
+    n, c, size = outside.shape
+    rows = np.arange(n)
+    out_true = np.take(outside.reshape(n * c, size), rows * c + labels, axis=0, mode="clip",
+                       out=_buffer(ws, ("out_true",), (n, size), outside.dtype))
     # for integers half the range, so that true minus it stays representable
     outside[rows, labels] = (-np.inf if outside.dtype.kind == "f"
                              else np.iinfo(outside.dtype).min // 2)
-    return out_true, outside.max(axis=1)
+    return out_true, outside.max(axis=1, out=_buffer(ws, ("rival",), (n, size), outside.dtype))
 
 
 def _global_gap(sums: np.ndarray, labels: np.ndarray):
@@ -448,8 +452,10 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
 
     def run(y, s, ws):
         total, outside = outside_sums(s, factors, ws)
-        out_true, rival = _split_rival(outside, y)
-        worst = out_true - rival - area                      # (n, L)
+        out_true, rival = _split_rival(outside, y, ws)
+        worst = np.subtract(out_true, rival, out=_buffer(
+            ws, ("worst",), out_true.shape, np.result_type(out_true, area)))
+        worst -= area                                        # (n, L)
         lim = worst.argmin(axis=1)
         m_s = worst[np.arange(len(y)), lim]
         pred, tied, gap = _global_gap(total, y)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVATION_MODES = ("relu", "heaviside_st", "sigmoid", "softmax_channel")
 
@@ -151,14 +152,48 @@ def _buffer(ws: Optional[Workspace], key: tuple, shape: Tuple[int, ...], dtype) 
     return np.empty(shape, dtype=dtype) if ws is None else ws.take(key, shape, dtype)
 
 
+# Bytes of one tile's column matrix in an untaped conv2d without momentum.
+# At width 64 a 3x3 conv's column matrix takes 576 KB per 16x16 image and
+# 2.25 MB per 32x32 one, so 4 MB tiles hold 7 and 1 of them. Random-weight
+# forward_maps at batch 128, width 64, budgets alternated in one process on a
+# shared 2-vCPU Xeon VM (2 MB L2 per core), median images/s at 1/2/4/8/16 MB
+# and for one whole-batch tile: 32x32 rf7, 128 images, 133/127/133/133/132
+# against 78; 32x32 rf13, 64 images, 105/100/90/101/84 against 53; 16x16
+# rf5, 128 images, 723/743/716/710/710 against 622; 40 images,
+# 712/704/728/720/675 against 649; 8 images, 694/681/680/676/672 against 677.
+# 1-8 MB are within run-to-run spread of each other; 4 MB still holds a whole
+# 32x32 image, and the smaller the budget, the smaller the forward's peak.
+CONV_TILE_BYTES = 4 << 20
+# Fewest multiply-adds in one tile's matmul. A matmul row's bits do not
+# depend on the other rows computed with it while OpenBLAS runs the same
+# kernel, but below 10^6 multiply-adds it runs its small-matrix kernel
+# instead: with OpenBLAS 0.3.31 on that VM, rows of a (K=576, N=64) or
+# (K=72, N=8) matmul took other bits in pieces of up to 590k multiply-adds
+# and the same bits from 1.18M up. With the floor at twice the switch, a
+# tile takes the kernel of the whole batch.
+CONV_TILE_MACS = 1 << 21
+
+
+def _tile_count(b: int, image_cols: int, co: int, itemsize: int) -> int:
+    """How many tiles of whole images an untaped conv of b images runs in,
+    the images split near-equally among them: as few as keep each tile's
+    column matrix (image_cols entries per image) within CONV_TILE_BYTES, or
+    one image, but never so many that a tile's matmul for co outputs has
+    fewer than CONV_TILE_MACS multiply-adds."""
+    image_cols = max(image_cols, 1)
+    per_budget = max(1, CONV_TILE_BYTES // (image_cols * itemsize))
+    at_least = -(-CONV_TILE_MACS // (image_cols * max(co, 1)))
+    return max(1, min(-(-b // per_budget), b // at_least))
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray) -> np.ndarray:
     """Gather kernel windows of a padded (B,H,W,C) array into the given
-    (B,Ho,Wo,kh,kw,C) buffer."""
+    (B,Ho,Wo,kh,kw,C) buffer, in one copy from a strided view of the windows
+    (for stride 1 a window row's kw*C entries are contiguous on both sides)."""
     ho, wo = cols.shape[1:3]
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, :, di, dj, :] = xp[:, di:di + ho * stride:stride,
-                                          dj:dj + wo * stride:stride, :]
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :ho * stride:stride,
+                                                             :wo * stride:stride]
+    np.copyto(cols, windows.transpose(0, 1, 2, 4, 5, 3))
     return cols
 
 
@@ -188,6 +223,20 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
     inv = 1/sqrt(var + eps), as `channel_affine` does; mean/var are constants
     for the gradient. With `momentum`, z's batch statistics then move the
     mean/var arrays in place, after the forward and backward took their values.
+
+    Without a tape and without momentum the batch runs in near-equal tiles
+    of whole images (_tile_count): a tile's padded copy and column matrix go
+    into buffers that hold one tile and serve every tile, its rows go through
+    the matmul into z, and the bias, norm, skip and ReLU run on those rows
+    while they are in cache. So the largest temporary is one tile's column
+    matrix, not the batch's. A taped call, or one with momentum, is the case
+    of one tile over the whole batch: the kernel gradient reads the whole
+    column matrix (and splitting that matmul by taps changed bits), and the
+    batch statistics are the whole batch's. A row of a matmul has the same
+    bits whatever other rows are computed with it, as long as BLAS runs the
+    same kernel; below about 10^6 multiply-adds OpenBLAS switches to another,
+    so no tile has fewer than CONV_TILE_MACS and the tiled outputs are the
+    one-tile ones, bit for bit.
 
     With a workspace `ws`, the large arrays are written into it instead of
     being allocated: under the name `layer`, the output z (so the returned
@@ -228,39 +277,52 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
     h, w, p, q = x.shape[1], x.shape[2], pad_h, pad_w
     xp_shape = (b, h + 2 * p, w + 2 * q, ci)  # the backward keeps the shape, not the padded copy
     cols_shape = (b, ho, wo, kh, kw, ci)
-    xp = x.data
+    n_tiles = 1 if tape is not None or momentum is not None else \
+        _tile_count(b, ho * wo * kh * kw * ci, co, x.dtype.itemsize)
+    tile = -(-b // n_tiles)
     if p or q:
-        xp = _buffer(ws, (layer, "cols") if direct else ("pad", xp_shape[1:]), xp_shape, x.dtype)
-        xp[:, :p] = xp[:, p + h:] = xp[:, p:p + h, :q] = xp[:, p:p + h, q + w:] = 0
-        xp[:, p:p + h, q:q + w] = x.data
-    cols = xp if direct else _im2col(xp, kh, kw, stride,
-                                     _buffer(ws, (layer, "cols"), cols_shape, xp.dtype))
-    flat = cols.reshape(-1, kh * kw * ci)
+        xp_tile = _buffer(ws, (layer, "cols") if direct else ("pad", xp_shape[1:]),
+                          (tile, *xp_shape[1:]), x.dtype)
+        xp_tile[:, :p] = xp_tile[:, p + h:] = xp_tile[:, p:p + h, :q] = \
+            xp_tile[:, p:p + h, q + w:] = 0
+    cols_tile = None if direct else _buffer(ws, (layer, "cols"), (tile, *cols_shape[1:]), x.dtype)
     kmat = kernel.data.reshape(kh * kw * ci, co)
-    z = np.matmul(flat, kmat, out=_buffer(ws, (layer, "z"), (len(flat), co),
-                                          np.result_type(flat, kmat)))
-    if bias is not None:
-        z = z + bias.data
+    operands = [] if bias is None else [bias.data]
     if norm is not None:
         gamma, beta, running_mean, running_var = *map(as_tensor, norm[:2]), *norm[2:]
         mean, inv = np.array(running_mean), 1.0 / np.sqrt(running_var + eps)
-        z = z.astype(np.result_type(z, mean, inv, gamma.data, beta.data), copy=False)
-        z -= mean
-        if momentum is not None:
-            # Shifted sum and sum of squares of d = z - mean, in float64: E[d]^2
-            # cancels out of E[d^2] when the running mean is far from the batch's.
-            d64 = z.astype(np.float64)
-            shift = np.ones(len(z)) @ d64 / len(z)
-            batch_var = np.maximum(np.einsum("ij,ij->j", d64, d64) / len(z) - shift * shift, 0)
-            running_mean += momentum * shift
-            running_var += momentum * (batch_var - running_var)
-        z *= inv
-        z *= gamma.data
-        z += beta.data
-    if skip is not None:
-        z += skip.data.reshape(-1, co)
-    if relu:
-        np.maximum(z, 0, out=z)
+        operands = [mean, inv, gamma.data, beta.data]
+    z = _buffer(ws, (layer, "z"), (b * ho * wo, co), np.result_type(x.data, kmat, *operands))
+    for i in range(n_tiles):
+        lo, hi = b * i // n_tiles, b * (i + 1) // n_tiles
+        xp = x.data[lo:hi]
+        if p or q:
+            xp = xp_tile[:hi - lo]
+            xp[:, p:p + h, q:q + w] = x.data[lo:hi]
+        cols = xp if direct else _im2col(xp, kh, kw, stride, cols_tile[:hi - lo])
+        flat = cols.reshape(-1, kh * kw * ci)
+        zt = np.matmul(flat, kmat, out=z[lo * ho * wo:hi * ho * wo])
+        if bias is not None:
+            zt += bias.data
+        if norm is not None:
+            zt -= mean
+            if momentum is not None:
+                # Shifted sum and sum of squares of d = z - mean, in float64 (the
+                # tile is the whole batch): E[d]^2 cancels out of E[d^2] when the
+                # running mean is far from the batch's.
+                d64 = zt.astype(np.float64)
+                shift = np.ones(len(zt)) @ d64 / len(zt)
+                batch_var = np.maximum(np.einsum("ij,ij->j", d64, d64) / len(zt) - shift * shift,
+                                       0)
+                running_mean += momentum * shift
+                running_var += momentum * (batch_var - running_var)
+            zt *= inv
+            zt *= gamma.data
+            zt += beta.data
+        if skip is not None:
+            zt += skip.data[lo:hi].reshape(-1, co)
+        if relu:
+            np.maximum(zt, 0, out=zt)
     out = Tensor(z.reshape(b, ho, wo, co))
 
     if tape is not None:

@@ -248,9 +248,20 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
 
 def forward_maps(params: Parameters, spec: NetworkSpec, images: np.ndarray,
                  batch: int) -> np.ndarray:
-    """Score maps of a whole image array, forwarded `batch` images at a time.
-    Relaxed heads can differ in the last bits between batch sizes, so callers
-    keep theirs fixed."""
+    """Score maps of a whole image array, forwarded `batch` images at a time;
+    an empty (0, h_out, w_out, C) float32 array for no images.
+
+    Each conv of a batch runs in tiles of whole images (core.conv2d), so
+    the batch sets how many layer outputs are alive at once, not the size of
+    a column matrix, and the maps are the bits of a one-tile (taped) forward
+    of the same batch. Another batch size can still put a matmul under
+    another BLAS kernel: binary maps could then differ only where a logit
+    sits at 0, relaxed ones in the last bits, so callers keep their batch
+    fixed."""
+    if batch < 1:
+        raise ValueError(f"forward_maps batch must be at least 1, got {batch}")
+    if not len(images):
+        return np.zeros((0, *spec.output_shape()), dtype=np.float32)
     return np.concatenate([forward(params, spec, images[lo:lo + batch])[1].data
                            for lo in range(0, len(images), batch)])
 

@@ -862,8 +862,9 @@ class TestIntervalProducts:
     @pytest.mark.parametrize("relaxed", [False, True], ids=["binary", "relaxed"])
     @pytest.mark.parametrize("pick", ["grid", "shuffled"])
     def test_workspace_matches_fresh_arrays(self, rng, pick, relaxed):
-        """Chunks of changing size that share one workspace get the sums of
-        fresh arrays, and `total` is not overwritten by the next chunk."""
+        """Chunks of changing size that share one workspace get the sums and
+        rival reductions of fresh arrays, and `total` is not overwritten by
+        the next chunk."""
         layers = [LayerGeom(3)] if pick == "grid" else self.LAYERS
         regions = enumerate_regions(self.H_IN, self.W_IN, 3, 2)
         if pick == "shuffled":
@@ -876,6 +877,7 @@ class TestIntervalProducts:
         factors = certify.interval_factors(rects, *maps.shape[1:3],
                                            np.float64 if relaxed else np.float32)
         assert (factors.index is None) == (pick == "grid")
+        labels = rng.integers(0, 3, size=len(maps))
         ws = core.Workspace()
         kept = []
         for lo, hi in [(0, 7), (7, 10), (10, 24)]:
@@ -883,6 +885,13 @@ class TestIntervalProducts:
             want = certify.outside_sums(maps[lo:hi], factors)
             for got, ref in zip((total, outside), want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            split = certify._split_rival(outside, labels[lo:hi], ws)
+            for got, ref in zip(split, certify._split_rival(want[1], labels[lo:hi])):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            if lo == 0:
+                first_split = split
+            elif hi - lo <= 7:  # a smaller chunk reuses the workspace's buffers
+                assert all(np.shares_memory(a, b) for a, b in zip(split, first_split))
             kept.append((total, want[0]))
         for total, ref in kept:
             assert np.array_equal(total, ref)

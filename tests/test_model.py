@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchcert import certify, model
+from patchcert import certify, core, model
 from patchcert.core import GradTape, Tensor
 from patchcert.geometry import PatchRegion, dependency_region, receptive_field
 from patchcert.model import (NetworkSpec, build_model, cifar_spec, forward,
@@ -121,10 +121,10 @@ class TestForward:
 
 
 
-def random_model(rf, seed):
-    """An rf5/rf7 scorer with random weights, affine parameters and running
+def random_model(rf, seed, input_shape=(8, 8, 2), width=6, classes=3):
+    """A scorer with random weights, affine parameters and running
     statistics."""
-    spec = cifar_spec(rf, input_shape=(8, 8, 2), width=6, classes=3)
+    spec = cifar_spec(rf, input_shape=input_shape, width=width, classes=classes)
     params = build_model(spec, seed)
     gen = np.random.default_rng(seed)
     for name, t in params.tensors.items():
@@ -209,6 +209,99 @@ class TestFusedForward:
         (logits, scores, records), (m_logits, m_scores, m_records) = runs
         assert np.array_equal(logits, m_logits) and np.array_equal(scores, m_scores)
         assert records == m_records == 1 + 2 * len(spec.block_kernels) + 1 + 1
+
+
+class TestTiledForward:
+    """Without a tape and without momentum, every conv runs in tiles of whole
+    images; a taped forward is one tile over the whole batch, the reference
+    the tiled forward must reproduce bit for bit."""
+
+    @staticmethod
+    def assert_tiles_match_one_tile(params, spec, x, modes=model.HEADS, inside=None):
+        for mode in modes:
+            logits, scores = forward(params, spec, x, mode, inside=inside)
+            ref_logits, ref_scores = forward(params, spec, x, mode, tape=GradTape(),
+                                             inside=inside)
+            assert logits.dtype == ref_logits.dtype and scores.dtype == ref_scores.dtype
+            assert np.array_equal(logits.data, ref_logits.data), mode
+            assert np.array_equal(scores.data, ref_scores.data), mode
+
+    @pytest.mark.parametrize("side", [16, 32])
+    @pytest.mark.parametrize("rf", [5, 7, 13])
+    def test_untaped_forward_is_the_taped_one(self, rf, side, monkeypatch):
+        # at width 8 a 3x3 conv's column matrix takes 72 KB per 16x16 image
+        # and 288 KB per 32x32 one, so at the default budget a batch of 128,
+        # and at 32x32 one of 37, makes unequal tiles; a budget of 1 byte
+        # leaves the tiles only their CONV_TILE_MACS floor (at least 15 and 4
+        # images for those convs)
+        spec, params = random_model(rf, rf + side, input_shape=(side, side, 3), width=8,
+                                    classes=10)
+        x = np.random.default_rng(side).random((128, side, side, 3), dtype=np.float32)
+        for budget in (core.CONV_TILE_BYTES, 1):
+            monkeypatch.setattr(core, "CONV_TILE_BYTES", budget)
+            for i, batch in enumerate((1, 8, 37, 128)):
+                mode = model.HEADS[i % 3]
+                self.assert_tiles_match_one_tile(params, spec, x[:batch], (mode,))
+
+    def test_untaped_forward_is_the_taped_one_at_width_64(self):
+        spec, params = random_model(5, 64, input_shape=(16, 16, 3), width=64, classes=10)
+        x = np.random.default_rng(64).random((128, 16, 16, 3), dtype=np.float32)
+        self.assert_tiles_match_one_tile(params, spec, x)
+
+    def test_windowed_untaped_forward_is_the_taped_one(self, monkeypatch):
+        # windows of zero-padded 16x16 images: along rows 3 cells dilated by
+        # rf-1 per side (convs unpadded), along columns the whole image
+        rf, reach, n = 7, 6, 11
+        spec, params = random_model(rf, 7, input_shape=(16, 16, 3), width=8, classes=10)
+        gen = np.random.default_rng(7)
+        images = gen.random((n, 16, 16, 3), dtype=np.float32)
+        padded = np.pad(images, ((0, 0), (reach, reach), (0, 0), (0, 0)))
+        rows = gen.integers(0, 14, size=n)[:, None] + np.arange(-reach, 3 + reach)
+        windows = np.stack([padded[i, reach + rows[i]] for i in range(n)])
+        inside = np.repeat(((rows >= 0) & (rows < 16))[:, :, None], 16, axis=2)
+        for budget in (core.CONV_TILE_BYTES, 1):
+            monkeypatch.setattr(core, "CONV_TILE_BYTES", budget)
+            self.assert_tiles_match_one_tile(params, spec, windows, inside=inside)
+
+    def test_untaped_column_matrix_stays_within_budget(self, monkeypatch):
+        """At batch 128 of 16x16 images a width-64 3x3 conv's column matrix
+        takes 75 MB; untaped, _im2col is never handed more than the budget,
+        and each conv's tiles differ by at most one image. Taped, each conv
+        is one tile of the whole batch."""
+        spec = cifar_spec(7, input_shape=(16, 16, 3), width=64, classes=10)
+        params = build_model(spec, 0)
+        x = np.random.default_rng(0).random((128, 16, 16, 3), dtype=np.float32)
+        seen = []
+        im2col = core._im2col
+
+        def spy(xp, kh, kw, stride, cols):
+            seen.append((cols.shape, cols.nbytes))
+            return im2col(xp, kh, kw, stride, cols)
+
+        monkeypatch.setattr(core, "_im2col", spy)
+        forward(params, spec, x)
+        assert max(nbytes for _, nbytes in seen) <= core.CONV_TILE_BYTES
+        for layer in {shape[1:] for shape, _ in seen}:
+            tiles = [shape[0] for shape, _ in seen if shape[1:] == layer]
+            assert max(tiles) - min(tiles) <= 1
+            assert sum(tiles) == 128 * (2 if layer[-1] == 64 else 1)  # rf7: two 3x3 blocks
+        assert len(seen) > 3
+        seen.clear()
+        forward(params, spec, x, tape=GradTape())
+        assert [shape[0] for shape, _ in seen] == [128, 128, 128]
+
+
+class TestForwardMaps:
+    def test_no_images_give_an_empty_map_array(self, small_params, small_spec):
+        images = np.zeros((0, *small_spec.input_shape), dtype=np.float32)
+        maps = model.forward_maps(small_params, small_spec, images, 4)
+        assert maps.shape == (0, *small_spec.output_shape()) and maps.dtype == np.float32
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_rejected(self, small_params, small_spec, batch):
+        images = np.zeros((2, *small_spec.input_shape), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"batch must be at least 1, got {batch}"):
+            model.forward_maps(small_params, small_spec, images, batch)
 
 
 class TestCheckpoint:
