@@ -75,8 +75,6 @@ def select_region_and_target(s: np.ndarray, c_t: int,
     if len(regions) == 0:
         raise ValueError("region set must be non-empty")
     h, w, c = s.shape
-    if c < 2:
-        raise ValueError("need at least 2 classes to pick a target")
     labels = certify.validate_labels([c_t], 1, c)
     rects = dependency_rects(regions, layers, h, w)
     _, outside = certify.outside_sums(s[None], _factors(rects, h, w))

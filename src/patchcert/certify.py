@@ -2,11 +2,11 @@
 
 Three checks of decreasing cost: a generic worst-case sweep for any monotone
 aggregator, a per-region sum check, and a single global-margin comparison.
-The per-region check gets the class sums inside every dependency rectangle
-from two interval-matrix products, rows . S . cols^T, since each rectangle
-set is separable into row and column intervals. All certificate arithmetic on
-binary maps is integer-exact. One check admits binary maps, single or batched;
-one chunk body decides for binary and relaxed maps alike.
+The per-region check takes the class sums outside every dependency rectangle
+from interval-matrix products rows . S . cols^T, two GEMMs per map, and
+reduces rivals over the whole product grid before cutting it to the
+rectangles. Arithmetic on binary maps is integer-exact. One check admits
+binary maps; one chunk body decides binary and relaxed maps alike.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def class_counts(maps: np.ndarray) -> np.ndarray:
 # interval-product kernel shared by every sum-condition path
 
 def validate_labels(labels, b: int, c: int) -> np.ndarray:
-    """Check labels are a (b,) integer array with every entry in [0, c), for
-    c >= 2 classes: with no rival class a certificate means nothing."""
+    """Check labels are (b,) integers in [0, c) for c >= 2 classes (with no
+    rival a certificate means nothing); returned as np.intp, not as uint64."""
     if c < 2:
         raise ValueError(f"certification needs at least 2 classes, got {c}")
     labels = np.asarray(labels)
@@ -86,7 +86,7 @@ def validate_labels(labels, b: int, c: int) -> np.ndarray:
     if b and not (labels.min() >= 0 and labels.max() < c):
         raise ValueError(f"labels must lie in [0, {c}), got labels from "
                          f"{labels.min()} to {labels.max()}")
-    return labels
+    return labels.astype(np.intp, copy=False)
 
 
 def exact_sum_dtype(h: int, w: int):
@@ -104,8 +104,7 @@ class IntervalFactors:
     distinct row intervals and the Q distinct column intervals, each followed
     by the full interval. Rectangle l is entry `index[l]` of the flattened
     (P+1, Q+1) product grid; `index` is None when the rectangles are exactly
-    the row-major P x Q grid, as for every region set of enumerate_regions.
-    """
+    the row-major P x Q grid, as for every region set of enumerate_regions."""
 
     rows: np.ndarray
     cols_t: np.ndarray
@@ -138,43 +137,51 @@ def outside_sums(maps: np.ndarray, factors: IntervalFactors,
     """Class sums of (n, h, w, c) maps in total and outside each rectangle of
     `factors`, as (total, outside) of shapes (n, c) and (n, c, L).
 
-    The inside sums of every rectangle and class are the entries of
-    rows . S_c . cols_t, two stacked products with one (h, w) slice per BLAS
-    call: at 32x32 maps each call is below OpenBLAS's threading threshold, so
-    it runs on the calling thread and _by_chunk's threads do not contend for
-    BLAS's. The full intervals put each class total in the last entry.
-
-    With a workspace (core.Workspace) the products and `outside` are its
-    buffers, so chunks that share one allocate and fault them in once, not
-    once per chunk as glibc's heap trimming can make them; `outside` is then
-    valid until the next call with that workspace.
+    _outside_grid casts the maps once in their own (n, h, w*c) layout and
+    takes the inside sums rows . S_c . cols_t in two GEMMs per map, X_n^T .
+    rows^T -> (w*c, P+1), then Y_n^T . cols_t -> (c*(P+1), Q+1), class-major;
+    numpy hands BLAS the transposes as flags. At 32x32x10 and |L|=784 each
+    GEMM is about 3e5 multiply-adds, just above OpenBLAS's threading
+    threshold; one BLAS thread measured no faster. total - inside is
+    subtracted in place over the whole (P+1)(Q+1) grid, whose last entry is
+    the total; _regions then cuts the grid down to the rectangles.
 
     Exactness: for 0/1 maps every partial sum of either product, in whatever
-    order BLAS adds, is a non-negative integer of at most h*w, so it is exact
-    in the exact_sum_dtype of the grid. Integer maps come back as int32 before
-    any subtraction, so no float comparison decides a binary certificate.
-    Float (relaxed) maps keep float sums.
+    order BLAS adds, is an integer of at most h*w, exact in exact_sum_dtype.
+    Integer maps come back as int32 before any subtraction, so no float
+    comparison decides a binary certificate. Relaxed maps keep float sums.
     """
+    total, grid = _outside_grid(maps, factors, ws)
+    return total, _regions(grid, factors)
+
+
+def _outside_grid(maps: np.ndarray, factors: IntervalFactors, ws: Optional[Workspace]):
+    """outside_sums before the cut: (n, c) totals and the (n, c, (P+1)(Q+1))
+    outside sums of the whole product grid, valid until the next call with `ws`."""
     n, h, w, c = maps.shape
     p1, q1 = len(factors.rows), factors.cols_t.shape[1]
     dtype = factors.rows.dtype
-    x = _buffer(ws, ("maps",), (n, c, h, w), dtype)
-    x[...] = maps.transpose(0, 3, 1, 2)
-    cols = np.matmul(x, factors.cols_t, out=_buffer(ws, ("cols",), (n, c, h, q1), dtype))
-    prod = np.matmul(factors.rows, cols, out=_buffer(ws, ("prod",), (n, c, p1, q1), dtype))
+    x = _buffer(ws, ("maps",), (n, h, w * c), dtype)
+    np.copyto(x, maps.reshape(n, h, w * c))
+    by_rows = np.matmul(x.transpose(0, 2, 1), factors.rows.T,
+                        out=_buffer(ws, ("rows",), (n, w * c, p1), dtype))
+    prod = np.matmul(by_rows.reshape(n, w, c * p1).transpose(0, 2, 1), factors.cols_t,
+                     out=_buffer(ws, ("prod",), (n, c * p1, q1), dtype))
+    grid = prod.reshape(n, c, p1 * q1)
     if maps.dtype.kind != "f":
-        exact = _buffer(ws, ("prod",), prod.shape, np.int32)
-        np.copyto(exact, prod, casting="unsafe")
-        prod = exact
-    total = prod[..., -1, -1].copy()
-    if factors.index is None:
-        outside = _buffer(ws, ("outside",), (n, c, p1 - 1, q1 - 1), prod.dtype)
-        np.subtract(total[..., None, None], prod[..., :-1, :-1], out=outside)
-        return total, outside.reshape(n, c, (p1 - 1) * (q1 - 1))
-    outside = _buffer(ws, ("outside",), (n, c, len(factors.index)), prod.dtype)
-    np.subtract(total[..., None], prod.reshape(n, c, p1 * q1).take(factors.index, axis=-1),
-                out=outside)
-    return total, outside
+        grid = _buffer(ws, ("prod",), grid.shape, np.int32)
+        np.copyto(grid, prod.reshape(grid.shape), casting="unsafe")
+    total = grid[..., -1].copy()
+    return total, np.subtract(total[..., None], grid, out=grid)
+
+
+def _regions(grid: np.ndarray, factors: IntervalFactors) -> np.ndarray:
+    """The rectangles' entries of (..., (P+1)(Q+1)) product-grid values, a new
+    (..., L) array: the [:-1, :-1] grid, or factors.index if there is one."""
+    if factors.index is not None:
+        return grid.take(factors.index, axis=-1)
+    p1, q1, lead = len(factors.rows), factors.cols_t.shape[1], grid.shape[:-1]
+    return grid.reshape(*lead, p1, q1)[..., :-1, :-1].reshape(*lead, (p1 - 1) * (q1 - 1))
 
 
 def _split_rival(outside: np.ndarray, labels: np.ndarray, ws: Optional[Workspace] = None):
@@ -206,14 +213,12 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     return pred, tied, (out_true - rival)[:, 0]
 
 
-# Maps per chunk of the per-region paths, read at each call. At 32 maps each
-# thread's workspace buffers for 32x32x10 maps at |L|=784 take about 1 MB
-# each. On a shared 2-vCPU Xeon VM (OpenBLAS, 10k maps, two chunk threads)
-# chunks of 32 to 128 maps ran within run-to-run spread of each other
-# (medians 319-340 ms), chunks of 16 maps about 30% slower and of 8 maps
-# about 50% slower, from per-call overhead. The global-margin path is not
-# chunked: class_counts' temporaries are 1/h of the maps.
-MAP_CHUNK = 32
+# Maps per chunk of the per-region paths, read at each call. On a shared
+# 2-vCPU Xeon VM, 10k 32x32x10 maps at |L|=784 on two chunk threads took
+# 278-317/242-251/214-230/220-241 ms at 16/32/64/128 (medians of 8 calls, 3
+# processes), with workspace buffers of about 2.5 MB at 64. The global-margin
+# path is not chunked: class_counts' temporaries are 1/h of the maps.
+MAP_CHUNK = 64
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
@@ -267,8 +272,7 @@ def certify_sum(s: np.ndarray, c_t: int, regions: Sequence[PatchRegion],
     s = validate_score_map(s)
     if not regions:
         raise ValueError("region set must be non-empty")
-    h, w, _ = s.shape
-    rects = dependency_rects(regions, layers, h, w)
+    rects = dependency_rects(regions, layers, *s.shape[:2])
     res = certify_batch(s[None], [c_t], rects, int(rects[4].max()))
     return CertificationResult(
         predicted=int(res.predicted[0]), tied=bool(res.tied[0]),
@@ -417,10 +421,8 @@ def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
                           rects: Tuple[np.ndarray, ...], r_max: int):
     """Same decisions for relaxed score maps with entries in [0,1] (sigmoid or
     softmax heads). The bounds only use 0 <= s <= 1, so the conditions stay
-    sound; sums are float64 and compared strictly, no tolerance.
-
-    Returns (certified_sum, certified_cheap, predicted) boolean/int arrays.
-    """
+    sound; sums are float64 and compared strictly, no tolerance. Returns
+    (certified_sum, certified_cheap, predicted) boolean/int arrays."""
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 4:
         raise ValueError(f"expected (B,h,w,C) score maps, got shape {maps.shape}")
@@ -451,11 +453,11 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
     factors = interval_factors(rects, h, w, dtype)
 
     def run(y, s, ws):
-        total, outside = outside_sums(s, factors, ws)
-        out_true, rival = _split_rival(outside, y, ws)
-        worst = np.subtract(out_true, rival, out=_buffer(
-            ws, ("worst",), out_true.shape, np.result_type(out_true, area)))
-        worst -= area                                        # (n, L)
+        total, grid = _outside_grid(s, factors, ws)
+        out_true, rival = _split_rival(grid, y, ws)
+        d = _regions(np.subtract(out_true, rival, out=out_true), factors)
+        worst = np.subtract(d, area, out=_buffer(
+            ws, ("worst",), d.shape, np.result_type(d, area)))       # (n, L)
         lim = worst.argmin(axis=1)
         m_s = worst[np.arange(len(y)), lim]
         pred, tied, gap = _global_gap(total, y)

@@ -193,6 +193,18 @@ class TestPgdAttack:
             outside = ~dep.as_mask(12, 12)
             assert np.array_equal(before[outside], after[outside])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64,
+                                       np.int8, np.int32])
+    def test_label_dtypes_give_the_int64_choice(self, attack_params, attack_spec, rng, dtype):
+        x = rng.random((3, 12, 12, 1), dtype=np.float32)
+        maps = np.stack([clean_map(attack_params, attack_spec, im) for im in x])
+        config = AttackConfig(patch_h=3, patch_w=3, steps=1)
+        y = np.array([0, 1, 1])
+        want = pgd_patch_attack(attack_params, attack_spec, x, maps, y, config)
+        got = pgd_patch_attack(attack_params, attack_spec, x, maps, y.astype(dtype), config)
+        assert [(r.region, r.target, r.success) for r in got] == \
+            [(r.region, r.target, r.success) for r in want]
+
     def test_certified_input_never_attacked_successfully(self, attack_spec, rng):
         # deterministic fully-certified model: every attack must fail
         params = certified_model(attack_spec)

@@ -28,6 +28,17 @@ def random_map(rng, h, w, c, p_true=0.8, p_other=0.2, c_t=0):
     return s
 
 
+def slice_margins(s, y, rects):
+    """(worst-case margin, first limiting index) of the per-region sum
+    condition for one binary map, by direct slicing of each rectangle."""
+    delta = s[:, :, y:y + 1].astype(np.int64) - s
+    total = delta.sum(axis=(0, 1))
+    rivals = [k for k in range(s.shape[2]) if k != y]
+    worst = [int(min((total - naive_rect_sum(delta, *box))[rivals])) - int(area)
+             for *box, area in zip(*(a.tolist() for a in rects))]
+    return min(worst), worst.index(min(worst))
+
+
 def one_d_example():
     """The worked 1-D certification example: two classes over 8 cells, delta
     votes [1,0,0,1,1,1,1,0] summing to +5; a single patch on the first cell
@@ -489,13 +500,13 @@ class TestChunkThreads:
         threads, which are joined when the call returns; with one thread or
         one chunk they run on the calling thread."""
         seen = []
-        inner = certify.outside_sums
+        inner = certify._outside_grid
 
         def spy(*args):
             seen.append(threading.get_ident())
             return inner(*args)
 
-        monkeypatch.setattr(certify, "outside_sums", spy)
+        monkeypatch.setattr(certify, "_outside_grid", spy)
         n = 3 * self.CHUNK
         maps = np.stack([random_map(rng, 8, 8, 3) for _ in range(n)])
         labels = np.zeros(n, dtype=np.int64)
@@ -545,11 +556,16 @@ class TestLabelValidation:
 
     @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
     def test_unsigned_labels_accepted(self, rng, path):
+        """Labels of any integer dtype give the int64 results. uint64 labels
+        once met int64 row offsets in the rival reduction, which numpy
+        promotes to float64, and every batch path raised a raw TypeError."""
         maps, rects, rmax = self.batch_case(rng)
         y = np.array([0, 1, 2, 0])
         want = self.BATCH_PATHS[path](maps, y, rects, rmax)
-        got = self.BATCH_PATHS[path](maps, y.astype(np.uint8), rects, rmax)
-        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int32):
+            got = self.BATCH_PATHS[path](maps, y.astype(dtype), rects, rmax)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("c_t", [-1, 3])
     def test_single_map_paths_reject(self, rng, c_t):
@@ -642,6 +658,35 @@ def test_certify_batch_matches_brute_force(case):
         want = [pred, brute_force_certified(s, y, masks), clean and margin_cheap > 0,
                 min(worst), margin_cheap, worst.index(min(worst))]
         assert [int(v) for v in got] == [int(v) for v in want]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(h_in=st.integers(1, 14), extra=st.integers(1, 6), tall=st.booleans(),
+       n=st.integers(0, 7), chunk=st.integers(1, 3), c=st.integers(2, 4),
+       ph=st.integers(1, 3), pw=st.integers(1, 3), subset=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_certify_batch_matches_slicing_on_non_square_grids(h_in, extra, tall, n, chunk, c,
+                                                           ph, pw, subset, seed):
+    """The product grid's border entries (a full interval) are cut off on
+    grids with P != Q, for empty and partial chunks, with the row-major
+    region set and with a shuffled subset of it."""
+    h_in, w_in = (h_in + extra, h_in) if tall else (h_in, h_in + extra)
+    ph, pw = min(ph, h_in), min(pw, w_in)
+    rng = np.random.default_rng(seed)
+    regions = enumerate_regions(h_in, w_in, ph, pw)
+    if subset:
+        order = rng.permutation(len(regions))
+        regions = [regions[i] for i in order[:max(1, len(order) // 2)]]
+    rects = dependency_rects(regions, [LayerGeom(3)], h_in, w_in)
+    labels = rng.integers(0, c, size=n)
+    maps = np.stack([random_map(rng, h_in, w_in, c, p_true=rng.uniform(0.5, 1.0),
+                                p_other=rng.uniform(0.0, 0.3), c_t=int(y)) for y in labels]
+                    ) if n else np.zeros((0, h_in, w_in, c), dtype=np.uint8)
+    with mock.patch.object(certify, "MAP_CHUNK", chunk):
+        batch = certify_batch(maps, labels, rects, int(rects[4].max()))
+    assert all(len(v) == n for v in vars(batch).values())
+    for s, y, margin, lim in zip(maps, labels, batch.margin_sum, batch.limiting_index):
+        assert (int(margin), int(lim)) == slice_margins(s, int(y), rects)
 
 
 class TestUnsoundInputsRejected:
@@ -846,6 +891,33 @@ class TestIntervalProducts:
                 worst.append(min(int(outside[k]) for k in range(3) if k != y) - d.size)
             assert bool(cert) == brute_force_certified(s, y, masks)
             assert (int(margin), int(lim)) == (min(worst), worst.index(min(worst)))
+
+    @pytest.mark.parametrize("pick", ["grid", "shuffled", "subset"])
+    def test_full_intervals_never_limit(self, rng, pick):
+        """Each map votes for its label everywhere and sparsely for rivals.
+        A full-interval entry of the product grid leaves fewer true-class
+        votes outside it than any rectangle (none at all for the corner), so
+        it would win the argmin were it not cut off; the margins must still
+        be those of the rectangles, all positive."""
+        regions = enumerate_regions(self.H_IN, self.W_IN, 3, 2)
+        order = rng.permutation(len(regions))
+        if pick != "grid":
+            regions = [regions[i] for i in (order if pick == "shuffled" else order[:5])]
+        rects = dependency_rects(regions, [LayerGeom(3)], self.H_IN, self.W_IN)
+        factors = certify.interval_factors(rects, self.H_IN, self.W_IN, np.float32)
+        assert (factors.index is None) == (pick == "grid")
+        labels = rng.integers(0, 3, size=6)
+        maps = (rng.random((6, self.H_IN, self.W_IN, 3)) < 0.1).astype(np.uint8)
+        maps[np.arange(6), :, :, labels] = 1
+        batch = certify_batch(maps, labels, rects, int(rects[4].max()))
+        assert batch.certified_sum.all()
+        for s, y, margin, lim in zip(maps, labels, batch.margin_sum, batch.limiting_index):
+            assert (int(margin), int(lim)) == slice_margins(s, int(y), rects)
+        total, outside = certify.outside_sums(maps, factors)
+        assert outside.shape == (6, 3, len(regions))
+        for l, box in enumerate(zip(*(a.tolist() for a in rects[:4]))):
+            for k in range(6):
+                assert np.array_equal(outside[k, :, l], total[k] - naive_rect_sum(maps[k], *box))
 
     def test_row_major_grid_needs_no_index(self, rng):
         regions = enumerate_regions(self.H_IN, self.W_IN, 3, 2)
