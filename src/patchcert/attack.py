@@ -57,7 +57,7 @@ def apply_patch(x: np.ndarray, p: np.ndarray, region: PatchRegion) -> np.ndarray
         raise ValueError(
             f"patch shape {p.shape} does not match region "
             f"{region.height}x{region.width}x{c}")
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails too
         raise ValueError("patch values must lie in [0,1]")
     out = x.copy()
     out[region.top:region.top + region.height,

@@ -116,6 +116,8 @@ def interval_factors(rects: Tuple[np.ndarray, ...], h: int, w: int,
     """Separable form of dependency rectangles (from geometry.dependency_rects)
     on an (h, w) score-map grid, with indicators in `dtype`."""
     r0, r1, c0, c1, _ = rects
+    if len(r0) and (min(r0.min(), c0.min()) < 0 or r1.max() > h or c1.max() > w):
+        raise ValueError(f"dependency rectangles exceed the {(h, w)} grid")
     rows, p = np.unique(np.stack([r0, r1], axis=1), axis=0, return_inverse=True)
     cols, q = np.unique(np.stack([c0, c1], axis=1), axis=0, return_inverse=True)
     p, q, n_q = p.reshape(-1), q.reshape(-1), len(cols)

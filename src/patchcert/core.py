@@ -123,10 +123,11 @@ class Workspace:
 
     A buffer is keyed either by a layer name and role, for what that layer's
     backward reads, or by a role and per-example shape, for a temporary that
-    every layer of that shape shares. Each buffer holds the largest batch
-    asked for so far, and a smaller batch gets a prefix view of it. Buffers
-    are anonymous mmap memory, so holding them leaves the malloc heap as it
-    was; dropping the workspace unmaps them once no view is left.
+    every layer of that shape shares (the padded input and the column
+    gradient hold one tile of images). Each buffer holds the largest batch
+    or tile asked for so far, and a smaller one gets a prefix view of it.
+    Buffers are anonymous mmap memory, so holding them leaves the malloc
+    heap as it was; dropping the workspace unmaps them once no view is left.
 
     One workspace serves one tape at a time: the next forward overwrites what
     the previous backward read, so a step's backward must run before the
@@ -179,7 +180,8 @@ def _tile_count(b: int, image_cols: int, co: int, itemsize: int) -> int:
     the images split near-equally among them: as few as keep each tile's
     column matrix (image_cols entries per image) within CONV_TILE_BYTES, or
     one image, but never so many that a tile's matmul for co outputs has
-    fewer than CONV_TILE_MACS multiply-adds."""
+    fewer than CONV_TILE_MACS multiply-adds. The backward's column gradient
+    has the column matrix's bytes and multiply-adds, so it takes the same."""
     image_cols = max(image_cols, 1)
     per_budget = max(1, CONV_TILE_BYTES // (image_cols * itemsize))
     at_least = -(-CONV_TILE_MACS // (image_cols * max(co, 1)))
@@ -197,16 +199,14 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray) -> 
     return cols
 
 
-def _col2im(gcols: np.ndarray, padded_shape: Tuple[int, ...], stride: int) -> np.ndarray:
-    """Scatter-add (B,Ho,Wo,kh,kw,C) window gradients back onto the padded
-    input grid."""
+def _col2im(gcols: np.ndarray, stride: int, gx: np.ndarray) -> None:
+    """Scatter-add (B,Ho,Wo,kh,kw,C) window gradients onto the padded input
+    grid gx (B,H,W,C), in place."""
     b, ho, wo, kh, kw, c = gcols.shape
-    gx = np.zeros(padded_shape, dtype=gcols.dtype)
     for di in range(kh):
         for dj in range(kw):
             gx[:, di:di + ho * stride:stride,
                dj:dj + wo * stride:stride, :] += gcols[:, :, :, di, dj, :]
-    return gx
 
 
 def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
@@ -229,24 +229,30 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
     into buffers that hold one tile and serve every tile, its rows go through
     the matmul into z, and the bias, norm, skip and ReLU run on those rows
     while they are in cache. So the largest temporary is one tile's column
-    matrix, not the batch's. A taped call, or one with momentum, is the case
-    of one tile over the whole batch: the kernel gradient reads the whole
-    column matrix (and splitting that matmul by taps changed bits), and the
-    batch statistics are the whole batch's. A row of a matmul has the same
+    matrix, not the batch's. A taped forward, or one with momentum, is the
+    case of one tile over the whole batch: the kernel gradient reads the
+    whole column matrix, and the batch statistics are the whole batch's.
+    The backward's input gradient on the im2col path (k > 1) runs in the
+    same tiles: a tile's rows of the column gradient go into a one-tile
+    buffer, and _col2im scatter-adds them into the padded input gradient
+    while in cache. The kernel gradient and the gamma and beta sums reduce
+    over the rows and stay whole-batch: a split changes their bits (by
+    taps, through a 1-channel stem's GEMV). A row of a matmul has the same
     bits whatever other rows are computed with it, as long as BLAS runs the
     same kernel; below about 10^6 multiply-adds OpenBLAS switches to another,
-    so no tile has fewer than CONV_TILE_MACS and the tiled outputs are the
-    one-tile ones, bit for bit.
+    so no tile has fewer than CONV_TILE_MACS and the tiled outputs and input
+    gradients are the one-tile ones, bit for bit.
 
     With a workspace `ws`, the large arrays are written into it instead of
     being allocated: under the name `layer`, the output z (so the returned
     tensor's data lives there) and the im2col matrix, which the backward
     reads; shared by every conv of the same shape, the padded input and the
-    column gradient of the backward's im2col path, which are temporaries.
-    The float64 statistics copy, the col2im target, the ReLU-masked gradient
-    (which is also the skip's gradient) and every other returned gradient
-    are allocated as usual. The outputs and gradients are the same bits with
-    or without a workspace.
+    one-tile column gradient, which are temporaries. Still allocated: the
+    col2im target, of which the returned input gradient is a view (the only
+    large array the im2col path's input gradient allocates), the float64
+    statistics copy, the ReLU-masked gradient (also the skip's gradient)
+    and every other returned gradient. The outputs and gradients are the
+    same bits with or without a workspace.
     """
     x, kernel, bias, skip = map(as_tensor, (x, kernel, bias, skip))
     if x.data.ndim != 4:
@@ -356,12 +362,18 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
                 g_kernel = g_kernel * a if need_k else None
             if need_x:
                 k_eff = kmat if norm is None else kmat * a
-                # On the direct path the column gradient is the input gradient
-                # returned to the tape, so it never comes from a shared buffer.
-                g_cols = _buffer(None if direct else ws, ("gcols", cols_shape[1:]), cols_shape,
-                                 np.result_type(g_flat, k_eff))
-                np.matmul(g_flat, k_eff.T, out=g_cols.reshape(len(g_flat), -1))
-                g_xp = g_cols.reshape(xp_shape) if direct else _col2im(g_cols, xp_shape, stride)
+                if direct:  # the column gradient is the input gradient returned to the tape
+                    g_xp = np.matmul(g_flat, k_eff.T).reshape(xp_shape)
+                else:  # in the forward's tiles, each scattered while in cache
+                    g_xp = np.zeros(xp_shape, dtype=np.result_type(g_flat, k_eff))
+                    n_x = _tile_count(b, ho * wo * kh * kw * ci, co, g_xp.itemsize)
+                    g_cols = _buffer(ws, ("gcols", cols_shape[1:]),
+                                     (-(-b // n_x), *cols_shape[1:]), g_xp.dtype)
+                    for i in range(n_x):
+                        lo, hi = b * i // n_x, b * (i + 1) // n_x
+                        np.matmul(g_flat[lo * ho * wo:hi * ho * wo], k_eff.T,
+                                  out=g_cols[:hi - lo].reshape((hi - lo) * ho * wo, -1))
+                        _col2im(g_cols[:hi - lo], stride, g_xp[lo:hi])
                 g_x = g_xp[:, p:p + h, q:q + w]
             if g_kernel is not None:
                 g_kernel = g_kernel.reshape(kernel.shape)

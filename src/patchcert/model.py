@@ -215,7 +215,7 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
                              f"channels and, along an axis shorter or longer than the "
                              f"image's, at least {rf} cells")
     ring = not inside.all()
-    if data.min() < 0.0 or data.max() > 1.0:
+    if not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails too
         raise ValueError("input pixels must lie in [0,1]")
 
     t = params.tensors

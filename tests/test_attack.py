@@ -85,6 +85,14 @@ class TestApplyPatch:
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             apply_patch(x, np.full((2, 2, 1), 1.5, dtype=np.float32), PatchRegion(0, 0, 2, 2))
 
+    @pytest.mark.parametrize("fill", ["all", "one"])
+    def test_nan_patch_rejected(self, fill):
+        x = np.zeros((6, 6, 1), dtype=np.float32)
+        p = np.full((2, 2, 1), np.nan if fill == "all" else 0.5, dtype=np.float32)
+        p[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            apply_patch(x, p, PatchRegion(0, 0, 2, 2))
+
 
 class TestSelection:
     def test_uniform_map_tie_breaks_to_first_region_lowest_class(self):
@@ -155,6 +163,14 @@ class TestPgdAttack:
         s[0, 0, 0] = 0.5
         with pytest.raises(ValueError, match="0 or 1"):
             attack_one(attack_params, attack_spec, x, s, 0, config)
+
+    def test_nan_pixel_rejected(self, attack_params, attack_spec, rng):
+        # NaN in opposite corners: no 3x3 patch covers both
+        x = rng.random((12, 12, 1), dtype=np.float32)
+        s = clean_map(attack_params, attack_spec, x)
+        x[0, 0, 0] = x[11, 11, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            attack_one(attack_params, attack_spec, x, s, 0, AttackConfig(patch_h=3, patch_w=3, steps=1))
 
     def test_deterministic(self, attack_params, attack_spec, rng):
         x = rng.random((12, 12, 1), dtype=np.float32)

@@ -712,6 +712,24 @@ class TestUnsoundInputsRejected:
         assert certify_cheap(s, 0, 0).certified_cheap
 
     @pytest.mark.parametrize("path", ["batch", "relaxed"])
+    def test_rectangles_outside_the_map_grid(self, rng, path):
+        """The rectangles of a 32x32 grid on 16x16 maps once had their inside
+        sums clipped to the maps silently; every per-region path goes through
+        interval_factors, which rejects them and names the map grid."""
+        maps = rng.integers(0, 2, size=(4, 16, 16, 10)).astype(np.uint8)
+        rects = dependency_rects(enumerate_regions(32, 32, 5, 5), [LayerGeom(3)], 32, 32)
+        with pytest.raises(ValueError, match=r"exceed the \(16, 16\) grid"):
+            TestLabelValidation.BATCH_PATHS[path](maps, np.zeros(4, dtype=np.int64), rects,
+                                                  int(rects[4].max()))
+
+    def test_rectangles_starting_before_the_map_grid(self):
+        rects = dependency_rects(enumerate_regions(6, 6, 2, 2), [LayerGeom(3)], 6, 6)
+        assert certify.interval_factors(rects, 6, 6, np.int32).index is None
+        shifted = (rects[0] - 1, *rects[1:])
+        with pytest.raises(ValueError, match=r"exceed the \(6, 6\) grid"):
+            attack._factors(shifted, 6, 6)
+
+    @pytest.mark.parametrize("path", ["batch", "relaxed"])
     def test_r_max_below_the_largest_rectangle(self, rng, path):
         maps, rects, rmax = TestLabelValidation.batch_case(rng)
         run = TestLabelValidation.BATCH_PATHS[path]

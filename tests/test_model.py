@@ -83,6 +83,17 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             forward(small_params, small_spec, x)
 
+    def test_rejects_a_nan_pixel(self, small_params, small_spec):
+        """One NaN pixel once gave NaN logits, which the heaviside head
+        turned into 0 votes, with no error."""
+        x = np.random.default_rng(0).random((2, 12, 12, 1), dtype=np.float32)
+        x[1, 5, 7, 0] = np.nan
+        for mode in model.HEADS:
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                forward(small_params, small_spec, x, mode)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            model.forward_maps(small_params, small_spec, x, 1)
+
     def test_rejects_wrong_shape(self, small_params, small_spec):
         with pytest.raises(ValueError, match="does not match spec"):
             forward(small_params, small_spec, np.zeros((1, 8, 8, 1), dtype=np.float32))
@@ -289,6 +300,107 @@ class TestTiledForward:
         seen.clear()
         forward(params, spec, x, tape=GradTape())
         assert [shape[0] for shape, _ in seen] == [128, 128, 128]
+
+
+class TestTiledInputGradient:
+    """A taped conv with k > 1 computes its input gradient in the forward's
+    tiles of whole images: each tile's column gradient goes into a buffer
+    that holds one tile and is scattered into the input gradient while in
+    cache. The kernel gradient and the gamma and beta sums stay whole-batch.
+    The gradients and the updated running statistics are those of one tile
+    over the whole batch, bit for bit."""
+
+    ONE_TILE = 1 << 40
+
+    @staticmethod
+    def step(params, spec, x, mode="sigmoid", inside=None):
+        """Every trainable tensor's and the input's gradient of a weighted
+        score total, then every model array: one training step with a
+        workspace, or a windowed taped forward as the attack runs it."""
+        p = params.copy()
+        xt = Tensor(x)
+        tape = GradTape()
+        training = inside is None
+        _, scores = forward(p, spec, xt, mode, tape=tape, training=training, inside=inside,
+                            ws=core.Workspace() if training else None)
+        weights = np.random.default_rng(len(x)).standard_normal(scores.shape)
+        weights = weights.astype(scores.dtype)
+        total = Tensor(np.asarray((scores.data * weights).sum(), dtype=scores.dtype))
+        tape.record(total, (scores,), lambda g: (g * weights,))
+        wrt = [xt] + list(p.trainable_tensors().values())
+        grads = tape.gradients(total, wrt)
+        assert np.abs(grads[id(xt)]).max() > 0
+        return [grads[id(t)] for t in wrt] + [t.data for t in p.tensors.values()]
+
+    def assert_budgets_agree(self, monkeypatch, params, spec, x, **kwargs):
+        runs = []
+        for budget in (self.ONE_TILE, core.CONV_TILE_BYTES, 1):
+            monkeypatch.setattr(core, "CONV_TILE_BYTES", budget)
+            runs.append(self.step(params, spec, x, **kwargs))
+        for got in runs[1:]:
+            for g, w in zip(got, runs[0]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("side", [16, 32])
+    @pytest.mark.parametrize("rf", [5, 7, 13])
+    def test_tiled_gradients_are_the_one_tile_ones(self, rf, side, monkeypatch):
+        # the budgets and batches of TestTiledForward's width-8 case: unequal
+        # tiles at the default budget, only the CONV_TILE_MACS floor at 1 byte
+        for i, batch in enumerate((1, 8, 37, 128)):
+            channels = (1, 3)[i % 2]
+            spec, params = random_model(rf, rf + side + i, width=8, classes=10,
+                                        input_shape=(side, side, channels))
+            x = np.random.default_rng(i).random((batch, side, side, channels), dtype=np.float32)
+            self.assert_budgets_agree(monkeypatch, params, spec, x)
+
+    @pytest.mark.parametrize("side, batch, channels", [(16, 128, 3), (16, 48, 1), (32, 8, 3)])
+    def test_tiled_gradients_are_the_one_tile_ones_at_width_64(self, side, batch, channels,
+                                                               monkeypatch):
+        # a 3x3 conv's column gradient takes 576 KB per 16x16 image and
+        # 2.25 MB per 32x32 one: tiles of 6-7 and of one image; the 1-channel
+        # stem's (64, 9) gradient GEMM splits into 3 tiles of 16 images at 1 byte
+        spec, params = random_model(5, side + channels, width=64, classes=10,
+                                    input_shape=(side, side, channels))
+        x = np.random.default_rng(64).random((batch, side, side, channels), dtype=np.float32)
+        self.assert_budgets_agree(monkeypatch, params, spec, x)
+
+    def test_windowed_tiled_gradients_are_the_one_tile_ones(self, monkeypatch):
+        # TestTiledForward's windows at width 64, where the first 3x3 block's
+        # conv splits the 11 windows into tiles of 5-6 images at the default
+        # budget, and both blocks' 3x3 convs into tiles of one at 1 byte
+        rf, reach, n = 7, 6, 11
+        spec, params = random_model(rf, 7, input_shape=(16, 16, 3), width=64, classes=10)
+        gen = np.random.default_rng(7)
+        images = gen.random((n, 16, 16, 3), dtype=np.float32)
+        padded = np.pad(images, ((0, 0), (reach, reach), (0, 0), (0, 0)))
+        rows = gen.integers(0, 14, size=n)[:, None] + np.arange(-reach, 3 + reach)
+        windows = np.stack([padded[i, reach + rows[i]] for i in range(n)])
+        inside = np.repeat(((rows >= 0) & (rows < 16))[:, :, None], 16, axis=2)
+        self.assert_budgets_agree(monkeypatch, params, spec, windows, mode="heaviside_st",
+                                  inside=inside)
+
+    def test_column_gradient_stays_within_budget(self, monkeypatch):
+        """At batch 128 of 16x16 images a width-64 3x3 conv's column gradient
+        takes 75 MB; _col2im is never handed more than the budget, and each
+        conv's tiles differ by at most one image."""
+        spec = cifar_spec(7, input_shape=(16, 16, 3), width=64, classes=10)
+        params = build_model(spec, 0)
+        x = np.random.default_rng(0).random((128, 16, 16, 3), dtype=np.float32)
+        seen = []
+        col2im = core._col2im
+
+        def spy(gcols, stride, gx):
+            seen.append((gcols.shape, gcols.nbytes))
+            col2im(gcols, stride, gx)
+
+        monkeypatch.setattr(core, "_col2im", spy)
+        self.step(params, spec, x)
+        assert max(nbytes for _, nbytes in seen) <= core.CONV_TILE_BYTES
+        for layer in {shape[1:] for shape, _ in seen}:
+            tiles = [shape[0] for shape, _ in seen if shape[1:] == layer]
+            assert max(tiles) - min(tiles) <= 1
+            assert sum(tiles) == 128 * (2 if layer[-1] == 64 else 1)  # rf7: two 3x3 blocks
+        assert len(seen) > 3
 
 
 class TestForwardMaps:
