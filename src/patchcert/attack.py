@@ -30,6 +30,8 @@ class AttackConfig:
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(
                 f"attack.step_size must be finite and > 0, got {self.step_size}")
+        if not (math.isfinite(self.margin) and self.margin > 0.0):
+            raise ValueError(f"attack.margin must be finite and > 0, got {self.margin}")
         if self.patch_h < 1 or self.patch_w < 1:
             raise ValueError("attack.patch: patch must be at least 1x1")
 

@@ -40,6 +40,15 @@ def validate_score_map(s: np.ndarray, ndim: int = 3) -> np.ndarray:
     return cast
 
 
+def _map_batch(maps) -> np.ndarray:
+    """`maps` as an array, after checking that it is a (B,h,w,C) batch. The
+    batch paths check the entries chunk by chunk, on the chunk threads."""
+    maps = np.asarray(maps)
+    if maps.ndim != 4:
+        raise ValueError(f"expected (B,h,w,C) score maps, got shape {maps.shape}")
+    return maps
+
+
 def classify(s: np.ndarray) -> Tuple[int, np.ndarray]:
     """Aggregate votes per class: S_c = sum over (i,j) of s[i,j,c].
 
@@ -96,6 +105,14 @@ def exact_sum_dtype(h: int, w: int):
     return np.float32 if h * w <= 2 ** 24 else np.float64
 
 
+def _grid_dtype(h: int, w: int):
+    """Narrowest integer dtype that holds every value the per-region check
+    forms from binary (h, w) maps: sums in [0, h*w], their differences and
+    those minus a rectangle area in [-2*h*w, h*w], and the rival sentinel
+    iinfo.min // 2. int16 up to h*w = 2**14, int32 up to 2**30."""
+    return np.int16 if h * w <= 2 ** 14 else np.int32 if h * w <= 2 ** 30 else np.int64
+
+
 @dataclass(frozen=True)
 class IntervalFactors:
     """A rectangle set over an (h, w) grid in separable form.
@@ -115,9 +132,11 @@ def interval_factors(rects: Tuple[np.ndarray, ...], h: int, w: int,
                      dtype) -> IntervalFactors:
     """Separable form of dependency rectangles (from geometry.dependency_rects)
     on an (h, w) score-map grid, with indicators in `dtype`."""
-    r0, r1, c0, c1, _ = rects
+    r0, r1, c0, c1, area = rects
     if len(r0) and (min(r0.min(), c0.min()) < 0 or r1.max() > h or c1.max() > w):
         raise ValueError(f"dependency rectangles exceed the {(h, w)} grid")
+    if not np.array_equal(area, (r1 - r0) * (c1 - c0)):
+        raise ValueError("dependency-rectangle areas must be (r1 - r0) * (c1 - c0)")
     rows, p = np.unique(np.stack([r0, r1], axis=1), axis=0, return_inverse=True)
     cols, q = np.unique(np.stack([c0, c1], axis=1), axis=0, return_inverse=True)
     p, q, n_q = p.reshape(-1), q.reshape(-1), len(cols)
@@ -150,16 +169,25 @@ def outside_sums(maps: np.ndarray, factors: IntervalFactors,
 
     Exactness: for 0/1 maps every partial sum of either product, in whatever
     order BLAS adds, is an integer of at most h*w, exact in exact_sum_dtype.
-    Integer maps come back as int32 before any subtraction, so no float
-    comparison decides a binary certificate. Relaxed maps keep float sums.
+    Integer maps come back as integers before any subtraction, so no float
+    comparison decides a binary certificate: the grid is cast to
+    _grid_dtype(h, w), int16 while h*w <= 2**14 (every value the
+    per-region check forms lies in [-2*h*w, h*w]), and the results here are
+    widened to int32 after the cut. Relaxed maps keep float sums.
     """
     total, grid = _outside_grid(maps, factors, ws)
-    return total, _regions(grid, factors)
+    if grid.dtype.kind == "f":
+        return total, _regions(grid, factors)
+    wide = np.promote_types(grid.dtype, np.int32)
+    return total.astype(wide), _regions(grid, factors).astype(wide, copy=False)
 
 
 def _outside_grid(maps: np.ndarray, factors: IntervalFactors, ws: Optional[Workspace]):
     """outside_sums before the cut: (n, c) totals and the (n, c, (P+1)(Q+1))
-    outside sums of the whole product grid, valid until the next call with `ws`."""
+    outside sums of the whole product grid, valid until the next call with `ws`.
+    For integer maps both are of _grid_dtype(h, w): int16 while h*w <=
+    2**14, since sums and outside sums lie in [0, h*w] and what the caller
+    forms from them in [-2*h*w, h*w]."""
     n, h, w, c = maps.shape
     p1, q1 = len(factors.rows), factors.cols_t.shape[1]
     dtype = factors.rows.dtype
@@ -171,7 +199,7 @@ def _outside_grid(maps: np.ndarray, factors: IntervalFactors, ws: Optional[Works
                      out=_buffer(ws, ("prod",), (n, c * p1, q1), dtype))
     grid = prod.reshape(n, c, p1 * q1)
     if maps.dtype.kind != "f":
-        grid = _buffer(ws, ("prod",), grid.shape, np.int32)
+        grid = _buffer(ws, ("prod",), grid.shape, _grid_dtype(h, w))
         np.copyto(grid, prod.reshape(grid.shape), casting="unsafe")
     total = grid[..., -1].copy()
     return total, np.subtract(total[..., None], grid, out=grid)
@@ -207,29 +235,35 @@ def _global_gap(sums: np.ndarray, labels: np.ndarray):
     """(predicted, tied, true-class sum minus the strongest rival) for each
     row of (n, C) class sums, integer sums widened to int64. Ties break to
     the lowest class index."""
-    pred = sums.argmax(axis=1)
-    tied = (sums == sums.max(axis=1)[:, None]).sum(axis=1) > 1
+    pred, tied = _prediction(sums)
     # a real copy, since _split_rival overwrites its true-class entries
     wide = sums.astype(np.promote_types(sums.dtype, np.int64))[:, :, None]
     out_true, rival = _split_rival(wide, labels)
     return pred, tied, (out_true - rival)[:, 0]
 
 
+def _prediction(sums: np.ndarray):
+    """(argmax class, tied) for each row of (n, C) class sums."""
+    return sums.argmax(axis=1), (sums == sums.max(axis=1)[:, None]).sum(axis=1) > 1
+
+
 # Maps per chunk of the per-region paths, read at each call. On a shared
 # 2-vCPU Xeon VM, 10k 32x32x10 maps at |L|=784 on two chunk threads took
 # 278-317/242-251/214-230/220-241 ms at 16/32/64/128 (medians of 8 calls, 3
 # processes), with workspace buffers of about 2.5 MB at 64. The global-margin
-# path is not chunked: class_counts' temporaries are 1/h of the maps.
+# path counts votes in chunks of the same size on the same pool.
 MAP_CHUNK = 64
 
 
 def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
-    """fn(labels, maps, ws) on consecutive chunks, each of its (n,) outputs
-    concatenated in chunk order; an empty batch still runs once to give typed
-    outputs. Several chunks run on a pool of up to runio.worker_count()
+    """fn(labels, maps, ws) on consecutive chunks, each of its outputs of n
+    rows concatenated in chunk order; an empty batch still runs once to give
+    typed outputs. Several chunks run on a pool of up to runio.worker_count()
     threads, made for this call and joined before it returns; numpy and BLAS
     release the GIL, and each chunk's result does not depend on the thread.
-    Each thread hands every chunk it runs its own core.Workspace `ws`."""
+    Each thread hands every chunk it runs its own core.Workspace `ws`. The
+    first chunk (in order) that raises raises here, after the chunks already
+    running finish; chunks not yet started are cancelled."""
     starts = range(0, max(len(labels), 1), chunk)
     local = threading.local()
 
@@ -415,35 +449,45 @@ def certify_batch(maps: np.ndarray, labels: np.ndarray,
                   rects: Tuple[np.ndarray, ...], r_max: int) -> BatchCertification:
     """Certify (B,h,w,C) binary maps against precomputed dependency rectangles
     (from geometry.dependency_rects). Integer-exact throughout."""
-    maps = validate_score_map(maps, 4)
-    return _certify_regions(maps, labels, rects, r_max, exact_sum_dtype(*maps.shape[1:3]))
+    maps = _map_batch(maps)
+    return _certify_regions(maps, labels, rects, r_max, exact_sum_dtype(*maps.shape[1:3]),
+                            lambda s: validate_score_map(s, 4))
 
 
 def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
                           rects: Tuple[np.ndarray, ...], r_max: int):
     """Same decisions for relaxed score maps with entries in [0,1] (sigmoid or
     softmax heads). The bounds only use 0 <= s <= 1, so the conditions stay
-    sound; sums are float64 and compared strictly, no tolerance. Returns
-    (certified_sum, certified_cheap, predicted) boolean/int arrays."""
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 4:
-        raise ValueError(f"expected (B,h,w,C) score maps, got shape {maps.shape}")
+    sound; sums are float64 and compared strictly, no tolerance. Each chunk
+    is checked on the chunk threads and widened to float64 by the kernel's
+    cast. Returns (certified_sum, certified_cheap, predicted) boolean/int
+    arrays."""
+    res = _certify_regions(_map_batch(maps), labels, rects, r_max, np.float64, _relaxed)
+    return res.certified_sum, res.certified_cheap, res.predicted
+
+
+def _relaxed(maps: np.ndarray) -> np.ndarray:
+    """`maps` as they are, after checking that they lie in [0,1]."""
     # NaN fails both comparisons, so it is rejected too
     if not (maps.min(initial=0.0) >= 0.0 and maps.max(initial=0.0) <= 1.0):
         raise ValueError("relaxed score maps must lie in [0,1]")
-    res = _certify_regions(maps, labels, rects, r_max, np.float64)
-    return res.certified_sum, res.certified_cheap, res.predicted
+    return maps
 
 
 def _certify_regions(maps: np.ndarray, labels: np.ndarray,
                      rects: Tuple[np.ndarray, ...], r_max: int,
-                     dtype) -> BatchCertification:
+                     dtype, check: Callable[[np.ndarray], np.ndarray]) -> BatchCertification:
     """Both sum conditions for (B,h,w,C) maps with rectangle sums exact in
-    `dtype`, MAP_CHUNK maps at a time. The delta sum outside R(l) for rival c
-    is (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score sums, so no
-    delta map is materialized. For a float (relaxed) d and an integer area a
-    the rounded d - a is positive exactly when d > a, so min(d - a) > 0
-    decides as every d > a would."""
+    `dtype`, MAP_CHUNK maps at a time; `check` validates each chunk and
+    returns it as the kernel reads it. The delta sum outside R(l) for rival
+    c is (T_ct - I_ct) - (T_c - I_c) with T/I total/inside score sums, so no
+    delta map is materialized. Binary maps stay in the grid's narrow integer
+    dtype (_grid_dtype) up to the (n,) margins, which are widened to int64.
+    The grid's (full, full) entry is set back to the totals, so one rival
+    reduction gives the per-region margins and, in its last column, the
+    global gap. For a float (relaxed) d and an integer area a the rounded
+    d - a is positive exactly when d > a, so min(d - a) > 0 decides as every
+    d > a would."""
     b, h, w, c = maps.shape
     labels = validate_labels(labels, b, c)
     area = rects[4]
@@ -455,14 +499,19 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
     factors = interval_factors(rects, h, w, dtype)
 
     def run(y, s, ws):
-        total, grid = _outside_grid(s, factors, ws)
+        total, grid = _outside_grid(check(s), factors, ws)
+        grid[..., -1] = total
         out_true, rival = _split_rival(grid, y, ws)
-        d = _regions(np.subtract(out_true, rival, out=out_true), factors)
-        worst = np.subtract(d, area, out=_buffer(
-            ws, ("worst",), d.shape, np.result_type(d, area)))       # (n, L)
+        d = np.subtract(out_true, rival, out=out_true)
+        wide = np.promote_types(d.dtype, np.int64)
+        gap = d[:, -1].astype(wide)
+        d = _regions(d, factors)
+        # interval_factors checked each area is its rectangle's, so <= h*w
+        worst = np.subtract(d, area.astype(d.dtype), out=_buffer(
+            ws, ("worst",), d.shape, d.dtype))                        # (n, L)
         lim = worst.argmin(axis=1)
-        m_s = worst[np.arange(len(y)), lim]
-        pred, tied, gap = _global_gap(total, y)
+        m_s = worst[np.arange(len(y)), lim].astype(wide)
+        pred, tied = _prediction(total)
         m_c = gap - 2 * r_max
         clean = (pred == y) & ~tied
         return pred, tied, (m_s > 0) & clean, (m_c > 0) & clean, m_s, m_c, lim
@@ -477,12 +526,16 @@ def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int):
 
 
 def _global_margin(maps: np.ndarray, labels: np.ndarray, r_max: int):
-    """certify_batch_cheap's three outputs, then the tie flags."""
-    maps = validate_score_map(maps, 4)
+    """certify_batch_cheap's three outputs, then the tie flags. The votes
+    are counted and checked binary MAP_CHUNK maps at a time on _by_chunk's
+    pool."""
+    maps = _map_batch(maps)
     labels = validate_labels(labels, len(maps), maps.shape[3])
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    pred, tied, gap = _global_gap(class_counts(maps), labels)
+    pred, tied, gap = _by_chunk(
+        lambda y, s, ws: _global_gap(class_counts(validate_score_map(s, 4)), y),
+        labels, maps, MAP_CHUNK)
     margin = gap - 2 * r_max
     return (margin > 0) & (pred == labels) & ~tied, margin, pred, tied
 

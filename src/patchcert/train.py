@@ -144,7 +144,8 @@ def one_hot_penalty(norm_sums, *, tape: Optional[GradTape] = None) -> Tensor:
     averaged over the batch. -1 exactly when S is one-hot."""
     norm_sums = core.as_tensor(norm_sums)
     s = norm_sums.data
-    if s.min() < 0.0 or s.max() > 1.0:
+    # NaN fails both comparisons, so it is rejected too
+    if not (s.min() >= 0.0 and s.max() <= 1.0):
         raise ValueError("one-hot penalty expects class scores in [0,1]")
     b, c = s.shape
     rows = np.arange(b)

@@ -520,6 +520,86 @@ class TestChunkThreads:
             assert threading.active_count() == before
 
 
+    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 5 * CHUNK + 3])
+    def test_cheap_thread_counts_agree(self, rng, threads, n, monkeypatch):
+        """certify_batch_cheap counts votes chunk by chunk on the same pool,
+        with the values and dtypes of one thread, and leaves no thread."""
+        seen = []
+        inner = certify.class_counts
+
+        def spy(maps):
+            seen.append(threading.get_ident())
+            return inner(maps)
+
+        monkeypatch.setattr(certify, "class_counts", spy)
+        labels = rng.integers(0, 3, size=n)
+        maps = (rng.random((n, 8, 8, 3)) < 0.3).astype(np.uint8)
+        maps[np.arange(n), :, :, labels] |= (rng.random((n, 8, 8)) < 0.6).astype(np.uint8)
+        before = threading.active_count()
+        threads(1)
+        want = certify_batch_cheap(maps, labels, 5)
+        assert all(len(v) == n for v in want)
+        for k in (2, 3):
+            threads(k)
+            seen.clear()
+            got = certify_batch_cheap(maps, labels, 5)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert len(seen) == max(1, -(-n // self.CHUNK))
+            assert (threading.get_ident() not in seen) == (n > self.CHUNK)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bad_entry_in_the_last_chunk_rejected(self, rng, threads, k):
+        """The map checks run inside the chunks: a non-binary entry or a NaN
+        in the last chunk alone is still rejected, with the whole-batch
+        check's message, and no thread is left running."""
+        n = 3 * self.CHUNK + 2
+        labels = rng.integers(0, 3, size=n)
+        maps = np.stack([random_map(rng, 8, 8, 3, c_t=int(y)) for y in labels])
+        regions = enumerate_regions(8, 8, 3, 2)
+        rects = dependency_rects(regions, self.LAYERS, 8, 8)
+        rmax = int(rects[4].max())
+        maps[-1, 5, 2, 1] = 2
+        relaxed = maps.astype(np.float64) / 2
+        relaxed[-1, 3, 3, 0] = np.nan
+        threads(k)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"^score map entries must be 0 or 1; certify "
+                                             r"scores in \[0,1\] with the relaxed path$"):
+            certify_batch(maps, labels, rects, rmax)
+        with pytest.raises(ValueError, match=r"^score map entries must be 0 or 1; certify "
+                                             r"scores in \[0,1\] with the relaxed path$"):
+            certify_batch_cheap(maps, labels, rmax)
+        with pytest.raises(ValueError, match=r"^relaxed score maps must lie in \[0,1\]$"):
+            certify_batch_relaxed(relaxed, labels, rects, rmax)
+        assert threading.active_count() == before
+        maps[-1, 5, 2, 1] = 1
+        relaxed[-1, 3, 3, 0] = 0.5
+        certify_batch(maps, labels, rects, rmax)
+        certify_batch_cheap(maps, labels, rmax)
+        certify_batch_relaxed(relaxed, labels, rects, rmax)
+
+    def test_float32_relaxed_maps_match_float64(self, rng, threads):
+        """Relaxed maps are widened to float64 chunk by chunk; float32 input
+        gives the outputs of the same maps passed as float64."""
+        n = 3 * self.CHUNK + 1
+        labels = rng.integers(0, 3, size=n)
+        maps = np.stack([random_map(rng, 8, 8, 3, c_t=int(y)) for y in labels])
+        relaxed = np.clip(maps + rng.uniform(-0.4, 0.4, size=maps.shape), 0.0, 1.0)
+        relaxed = relaxed.astype(np.float32)
+        regions = enumerate_regions(8, 8, 3, 2)
+        rects = dependency_rects(regions, self.LAYERS, 8, 8)
+        rmax = int(rects[4].max())
+        threads(2)
+        want = certify_batch_relaxed(relaxed.astype(np.float64), labels, rects, rmax)
+        got = certify_batch_relaxed(relaxed, labels, rects, rmax)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 class TestLabelValidation:
     """Every entry point rejects labels that are not one in-range class per
     map, instead of wrapping, truncating or raising a raw IndexError."""
@@ -985,6 +1065,72 @@ class TestIntervalProducts:
             kept.append((total, want[0]))
         for total, ref in kept:
             assert np.array_equal(total, ref)
+
+    @pytest.mark.parametrize("shape, narrow", [((128, 128), np.int16), ((128, 129), np.int32)])
+    def test_narrow_grid_exact_at_the_extremes(self, rng, shape, narrow):
+        """h*w = 2**14 is the largest grid kept in int16, and one more column
+        takes int32. Maps that push the per-region values to their ends (all
+        ones, true class empty under a full rival, true class full under
+        empty rivals) give the margins and limiting regions of slicing, as
+        int64, on both sides."""
+        h, w = shape
+        assert certify._grid_dtype(h, w) == narrow
+        regions = enumerate_regions(h, w, 100, 100)
+        if len(regions) > 200:
+            regions = [regions[i] for i in sorted(rng.permutation(len(regions))[:200])]
+        rects = dependency_rects(regions, [LayerGeom(3)], h, w)
+        rmax = int(rects[4].max())
+        maps = np.zeros((6, h, w, 3), dtype=np.uint8)
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        maps[0] = 1                                  # all ones
+        maps[1, :, :, 0] = 1                         # true class empty, a rival full
+        maps[2, :, :, 2] = 1                         # true class full, rivals empty
+        maps[3, :, :, 0] = 1                         # full true class, one rival nearly full
+        maps[3, 1:, :, 1] = 1
+        maps[4:] = rng.random((2, h, w, 3)) < 0.5
+        batch = certify_batch(maps, labels, rects, rmax)
+        for s, y, margin, lim in zip(maps, labels, batch.margin_sum, batch.limiting_index):
+            assert (int(margin), int(lim)) == slice_margins(s, int(y), rects)
+        sums = maps.sum(axis=(1, 2), dtype=np.int64)
+        gap = sums[np.arange(6), labels] - np.where(
+            np.eye(3, dtype=bool)[labels], np.iinfo(np.int64).min, sums).max(axis=1)
+        np.testing.assert_array_equal(batch.margin_cheap, gap - 2 * rmax)
+        assert batch.margin_sum.dtype == batch.margin_cheap.dtype == np.int64
+        assert batch.margin_sum[1] == -h * w
+        assert batch.margin_sum[2] == h * w - 2 * rects[4].max()
+        cheap = certify_batch_cheap(maps, labels, rmax)
+        np.testing.assert_array_equal(cheap[1], batch.margin_cheap)
+        assert cheap[1].dtype == np.int64
+        factors = certify.interval_factors(rects, h, w, certify.exact_sum_dtype(h, w))
+        total, outside = certify.outside_sums(maps, factors)
+        assert total.dtype == outside.dtype == np.int32
+        np.testing.assert_array_equal(total, sums)
+        for l, box in enumerate(zip(*(a.tolist() for a in rects[:4]))):
+            np.testing.assert_array_equal(
+                outside[:, :, l], sums - maps[:, box[0]:box[1], box[2]:box[3]].sum(
+                    axis=(1, 2), dtype=np.int64))
+
+    def test_area_other_than_the_rectangle_rejected(self):
+        """The narrow grid subtracts the areas in its own type, so an area
+        that is not the rectangle's (here above the int16 range on a
+        128x128 grid) is rejected rather than wrapped into a certificate."""
+        regions = enumerate_regions(128, 128, 2, 2)[:4]
+        r0, r1, c0, c1, area = dependency_rects(regions, [LayerGeom(3)], 128, 128)
+        maps = np.zeros((1, 128, 128, 2), dtype=np.uint8)
+        maps[0, :, :, 0] = 1
+        bad = area.copy()
+        bad[-1] = 40000
+        with pytest.raises(ValueError, match=r"^dependency-rectangle areas must be"):
+            certify_batch(maps, [0], (r0, r1, c0, c1, bad), 40000)
+        bad[-1] = area[-1] + 1
+        with pytest.raises(ValueError, match=r"^dependency-rectangle areas must be"):
+            certify.interval_factors((r0, r1, c0, c1, bad), 128, 128, np.float32)
+
+    def test_grid_dtype_holds_twice_the_grid(self):
+        assert certify._grid_dtype(1, 2 ** 14) == np.int16
+        assert certify._grid_dtype(1, 2 ** 14 + 1) == np.int32
+        assert certify._grid_dtype(2 ** 15, 2 ** 15) == np.int32
+        assert certify._grid_dtype(2 ** 15, 2 ** 15 + 1) == np.int64
 
     def test_exact_dtype_switches_at_two_to_the_24(self):
         assert certify.exact_sum_dtype(2 ** 12, 2 ** 12) == np.float32

@@ -113,6 +113,11 @@ class TestOneHotPenalty:
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             one_hot_penalty(np.array([[1.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            one_hot_penalty(np.array([bad], dtype=np.float32))
+
 
 class TestTotalLoss:
     def test_sigma_zero_is_margin_loss_bitwise(self, rng):
