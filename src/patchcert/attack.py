@@ -21,7 +21,6 @@ class AttackConfig:
     patch_w: int = 5
     steps: int = 100
     step_size: float = 0.025
-    margin: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -30,8 +29,6 @@ class AttackConfig:
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(
                 f"attack.step_size must be finite and > 0, got {self.step_size}")
-        if not (math.isfinite(self.margin) and self.margin > 0.0):
-            raise ValueError(f"attack.margin must be finite and > 0, got {self.margin}")
         if self.patch_h < 1 or self.patch_w < 1:
             raise ValueError("attack.patch: patch must be at least 1x1")
 
@@ -96,6 +93,8 @@ def _weakest(outside: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.nd
     lim = (out_true - rival).argmin(axis=1)
     return lim, rivals[np.arange(len(labels)), :, lim].argmax(axis=1)
 
+
+ATTACK_MARGIN = 1.0  # the objective's clamp M on the normalized target margin
 
 # Images per PGD batch, read at each call; measured at width 64 with a 5x5
 # patch on a 2-vCPU Xeon VM: pgd_patch_attack in a fresh process, medians
@@ -210,7 +209,7 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
         tape = GradTape()
         _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape, inside=inside)
         sums = core.add(fixed, core.class_sums(scores, votes, tape=tape), tape=tape)
-        loss = _target_margin_loss(sums, labels, target, area, config.margin, tape)
+        loss = _target_margin_loss(sums, labels, target, area, tape)
         trace[step] = loss.data
         g = tape.gradients(loss, [adv])[id(adv)]
         if g is None:
@@ -233,13 +232,13 @@ def _attack_batch(params: Parameters, spec: NetworkSpec, x: np.ndarray, maps: np
 
 
 def _target_margin_loss(sums: Tensor, c_t: np.ndarray, target: np.ndarray, area: float,
-                        margin: float, tape: GradTape) -> Tensor:
+                        tape: GradTape) -> Tensor:
     """Per-image margin loss on the fixed target classes, (n,):
-    -min((S_ct - S_c*)/area, M)."""
+    -min((S_ct - S_c*)/area, ATTACK_MARGIN)."""
     rows = np.arange(len(c_t))
     u = (sums.data[rows, c_t] - sums.data[rows, target]) / area
-    clamped = u >= margin
-    out = Tensor(np.asarray(-np.where(clamped, margin, u), dtype=sums.dtype))
+    clamped = u >= ATTACK_MARGIN
+    out = Tensor(np.asarray(-np.where(clamped, ATTACK_MARGIN, u), dtype=sums.dtype))
 
     def backward(g):
         gs = np.zeros_like(sums.data)

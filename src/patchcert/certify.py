@@ -255,22 +255,23 @@ def _prediction(sums: np.ndarray):
 MAP_CHUNK = 64
 
 
-def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray, chunk: int) -> List[np.ndarray]:
-    """fn(labels, maps, ws) on consecutive chunks, each of its outputs of n
-    rows concatenated in chunk order; an empty batch still runs once to give
-    typed outputs. Several chunks run on a pool of up to runio.worker_count()
-    threads, made for this call and joined before it returns; numpy and BLAS
-    release the GIL, and each chunk's result does not depend on the thread.
+def _by_chunk(fn, labels: np.ndarray, maps: np.ndarray) -> List[np.ndarray]:
+    """fn(labels, maps, ws) on consecutive chunks of MAP_CHUNK maps (read at
+    each call), each of its outputs of n rows concatenated in chunk order; an
+    empty batch still runs once to give typed outputs. Several chunks run on
+    a pool of up to runio.worker_count() threads, made for this call and
+    joined before it returns; numpy and BLAS release the GIL, and each
+    chunk's result does not depend on the thread.
     Each thread hands every chunk it runs its own core.Workspace `ws`. The
     first chunk (in order) that raises raises here, after the chunks already
     running finish; chunks not yet started are cancelled."""
-    starts = range(0, max(len(labels), 1), chunk)
+    starts = range(0, max(len(labels), 1), MAP_CHUNK)
     local = threading.local()
 
     def run(lo):
         if not hasattr(local, "ws"):
             local.ws = Workspace()
-        return fn(labels[lo:lo + chunk], maps[lo:lo + chunk], local.ws)
+        return fn(labels[lo:lo + MAP_CHUNK], maps[lo:lo + MAP_CHUNK], local.ws)
 
     workers = min(worker_count(), len(starts))
     if workers > 1:
@@ -456,12 +457,13 @@ def certify_batch(maps: np.ndarray, labels: np.ndarray,
 
 def certify_batch_relaxed(maps: np.ndarray, labels: np.ndarray,
                           rects: Tuple[np.ndarray, ...], r_max: int):
-    """Same decisions for relaxed score maps with entries in [0,1] (sigmoid or
-    softmax heads). The bounds only use 0 <= s <= 1, so the conditions stay
-    sound; sums are float64 and compared strictly, no tolerance. Each chunk
-    is checked on the chunk threads and widened to float64 by the kernel's
-    cast. Returns (certified_sum, certified_cheap, predicted) boolean/int
-    arrays."""
+    """Same conditions for relaxed score maps with entries in [0,1] (sigmoid
+    or softmax heads). The bounds on the scores only use 0 <= s <= 1, but
+    sums are float64 and compared strictly, no tolerance: a float64 sum can
+    round either way, and nothing proves that no decision flips, so relaxed
+    decisions are float decisions, not proven sound. Each chunk is checked on
+    the chunk threads and widened to float64 by the kernel's cast. Returns
+    (certified_sum, certified_cheap, predicted) boolean/int arrays."""
     res = _certify_regions(_map_batch(maps), labels, rects, r_max, np.float64, _relaxed)
     return res.certified_sum, res.certified_cheap, res.predicted
 
@@ -516,7 +518,7 @@ def _certify_regions(maps: np.ndarray, labels: np.ndarray,
         clean = (pred == y) & ~tied
         return pred, tied, (m_s > 0) & clean, (m_c > 0) & clean, m_s, m_c, lim
 
-    return BatchCertification(*_by_chunk(run, labels, maps, MAP_CHUNK))
+    return BatchCertification(*_by_chunk(run, labels, maps))
 
 
 def certify_batch_cheap(maps: np.ndarray, labels: np.ndarray, r_max: int):
@@ -535,7 +537,7 @@ def _global_margin(maps: np.ndarray, labels: np.ndarray, r_max: int):
         raise ValueError(f"r_max must be >= 0, got {r_max}")
     pred, tied, gap = _by_chunk(
         lambda y, s, ws: _global_gap(class_counts(validate_score_map(s, 4)), y),
-        labels, maps, MAP_CHUNK)
+        labels, maps)
     margin = gap - 2 * r_max
     return (margin > 0) & (pred == labels) & ~tied, margin, pred, tied
 

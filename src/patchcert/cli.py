@@ -282,7 +282,7 @@ def cmd_certify(out_dir: str, config: Dict, seed: int) -> int:
               for ph, pw in patches]
     generic = condition in ("1", "all")
     n = len(images)
-    maps = model.forward_maps(params, spec, images, 128)
+    maps = model.forward_maps(params, spec, images)
     summary_rows = []
     for ph, pw, regions in shapes:
         rects = geometry.dependency_rects(regions, layers, h_in, w_in)
@@ -338,7 +338,7 @@ def cmd_attack(out_dir: str, config: Dict, seed: int) -> int:
     regions = _regions("attack.patch", (ph, pw), h_in, w_in)
     rects = geometry.dependency_rects(regions, layers, h_in, w_in)
     rmax = int(rects[4].max())
-    maps = model.forward_maps(params, spec, images, 128)
+    maps = model.forward_maps(params, spec, images)
     batch = certify.certify_batch(maps, labels, rects, rmax)
 
     results = attack_mod.pgd_patch_attack(params, spec, images, maps, labels, attack_config)

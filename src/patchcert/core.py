@@ -12,7 +12,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-ACTIVATION_MODES = ("relu", "heaviside_st", "sigmoid", "softmax_channel")
+ACTIVATION_MODES = ("heaviside_st", "sigmoid", "softmax_channel")
+NORM_EPS = 1e-5  # the norm's inv = 1/sqrt(var + NORM_EPS), in conv2d and channel_affine
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -211,7 +212,7 @@ def _col2im(gcols: np.ndarray, stride: int, gx: np.ndarray) -> None:
 
 def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
            norm: Optional[tuple] = None, skip=None, relu: bool = False,
-           momentum: Optional[float] = None, eps: float = 1e-5,
+           momentum: Optional[float] = None,
            tape: Optional[GradTape] = None, ws: Optional[Workspace] = None,
            layer: Optional[str] = None) -> Tensor:
     """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel
@@ -220,7 +221,7 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
     a norm, a residual add of `skip` and a ReLU in place, under one tape record.
 
     `norm` = (gamma, beta, mean, var) maps z to ((z - mean)*inv)*gamma + beta,
-    inv = 1/sqrt(var + eps), as `channel_affine` does; mean/var are constants
+    inv = 1/sqrt(var + NORM_EPS), as `channel_affine` does; mean/var are constants
     for the gradient. With `momentum`, z's batch statistics then move the
     mean/var arrays in place, after the forward and backward took their values.
 
@@ -296,7 +297,7 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
     operands = [] if bias is None else [bias.data]
     if norm is not None:
         gamma, beta, running_mean, running_var = *map(as_tensor, norm[:2]), *norm[2:]
-        mean, inv = np.array(running_mean), 1.0 / np.sqrt(running_var + eps)
+        mean, inv = np.array(running_mean), 1.0 / np.sqrt(running_var + NORM_EPS)
         operands = [mean, inv, gamma.data, beta.data]
     z = _buffer(ws, (layer, "z"), (b * ho * wo, co), np.result_type(x.data, kmat, *operands))
     for i in range(n_tiles):
@@ -405,12 +406,7 @@ def activation(x, mode: str, *, tape: Optional[GradTape] = None) -> Tensor:
     """
     x = as_tensor(x)
     xd = x.data
-    if mode == "relu":
-        out_data = np.maximum(xd, 0)
-
-        def backward(g):
-            return (g * (xd > 0),)
-    elif mode == "heaviside_st":
+    if mode == "heaviside_st":
         out_data = (xd >= 0).astype(xd.dtype)
 
         def backward(g):
@@ -486,15 +482,15 @@ def center_crop(x, margins: Tuple[int, int], *, tape: Optional[GradTape] = None)
 
 
 def channel_affine(x, gamma, beta, mean: np.ndarray, var: np.ndarray, *,
-                   eps: float = 1e-5, tape: Optional[GradTape] = None) -> Tensor:
-    """Per-channel normalize-and-rescale: (x - mean)/sqrt(var + eps)*gamma + beta.
+                   tape: Optional[GradTape] = None) -> Tensor:
+    """Per-channel normalize-and-rescale: (x - mean)/sqrt(var + NORM_EPS)*gamma + beta.
 
     mean/var are plain arrays treated as constants (running statistics), so the
     transform is affine in x and gradients never flow through the statistics.
     `conv2d(..., norm=...)` fuses the same map; this unfused op is its reference.
     """
     x, gamma, beta = map(as_tensor, (x, gamma, beta))
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if tape is not None:
@@ -535,6 +531,8 @@ def class_sums(s, mask: Optional[np.ndarray] = None, *,
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 @dataclass
 class AdamState:
     """First/second moment estimates and step counter for a named parameter set."""
@@ -550,8 +548,7 @@ class AdamState:
 
 
 def adam_step(params: Dict[str, Tensor], grads: Dict[str, Optional[np.ndarray]],
-              state: AdamState, lr: float, *, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+              state: AdamState, lr: float) -> None:
     """One Adam update, in place. A missing/None gradient counts as zero.
 
     The whole update is aborted (no parameter touched) if any gradient is
@@ -567,16 +564,16 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, Optional[np.ndarray]],
                 f"shape {params[name].data.shape}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = 0.0
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -9,7 +9,9 @@ from typing import Tuple
 
 import numpy as np
 
-CIFAR_RECORD = 1 + 32 * 32 * 3
+CIFAR_PLANES = (3, 32, 32)  # (c, h, w) of one record's image
+CIFAR_CLASSES = 10
+CIFAR_RECORD = 1 + int(np.prod(CIFAR_PLANES))  # label byte, then the planes
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 
@@ -42,18 +44,16 @@ class DatasetHandle:
         return tuple(self.images.shape[1:])
 
 
-def decode_records(buf: bytes, h: int = 32, w: int = 32, c: int = 3,
-                   n_classes: int = 10) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode label-byte-plus-channel-plane records into images and labels."""
-    record = 1 + h * w * c
-    if len(buf) == 0 or len(buf) % record != 0:
+def decode_records(buf: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode CIFAR-10 records (a label byte, then channel planes) into images and labels."""
+    if len(buf) == 0 or len(buf) % CIFAR_RECORD != 0:
         raise ValueError(
-            f"record buffer of {len(buf)} bytes is not a positive multiple of {record}")
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, record)
+            f"record buffer of {len(buf)} bytes is not a positive multiple of {CIFAR_RECORD}")
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
     labels = raw[:, 0].astype(np.int64)
-    if labels.max() >= n_classes:
-        raise ValueError(f"label byte {labels.max()} out of range (< {n_classes})")
-    planes = raw[:, 1:].reshape(-1, c, h, w)
+    if labels.max() >= CIFAR_CLASSES:
+        raise ValueError(f"label byte {labels.max()} out of range (< {CIFAR_CLASSES})")
+    planes = raw[:, 1:].reshape(-1, *CIFAR_PLANES)
     images = planes.transpose(0, 2, 3, 1).astype(np.float32) / 255.0
     return images, labels
 
@@ -126,13 +126,13 @@ def flip_horizontal(pixels: np.ndarray) -> np.ndarray:
     return pixels[:, ::-1, :].copy()
 
 
-def pad_crop(pixels: np.ndarray, top: int, left: int, pad: int = CROP_PAD) -> np.ndarray:
-    """Zero-pad `pad` on every side, then crop the original size at (top, left);
-    offset (pad, pad) reproduces the input."""
+def pad_crop(pixels: np.ndarray, top: int, left: int) -> np.ndarray:
+    """Zero-pad CROP_PAD on every side, then crop the original size at (top,
+    left); offset (CROP_PAD, CROP_PAD) reproduces the input."""
     h, w, _ = pixels.shape
-    if not (0 <= top <= 2 * pad and 0 <= left <= 2 * pad):
-        raise ValueError(f"crop offset ({top},{left}) outside [0,{2 * pad}]")
-    padded = np.pad(pixels, ((pad, pad), (pad, pad), (0, 0)))
+    if not (0 <= top <= 2 * CROP_PAD and 0 <= left <= 2 * CROP_PAD):
+        raise ValueError(f"crop offset ({top},{left}) outside [0,{2 * CROP_PAD}]")
+    padded = np.pad(pixels, ((CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD), (0, 0)))
     return padded[top:top + h, left:left + w, :].copy()
 
 

@@ -24,11 +24,6 @@ class PatchRegion:
         if self.top < 0 or self.left < 0:
             raise ValueError(f"patch origin must be non-negative, got ({self.top},{self.left})")
 
-    def contains(self, other: "PatchRegion") -> bool:
-        return (self.top <= other.top and self.left <= other.left
-                and self.top + self.height >= other.top + other.height
-                and self.left + self.width >= other.left + other.width)
-
 
 def validate_region(region: PatchRegion, h_in: int, w_in: int) -> None:
     if region.top + region.height > h_in or region.left + region.width > w_in:
@@ -87,7 +82,6 @@ class RFInfo:
     rf_w: int
     h_out: int
     w_out: int
-    stride_product: int
 
 
 def _out_size(size: int, layer: LayerGeom) -> int:
@@ -107,7 +101,7 @@ def receptive_field(layers: Sequence[LayerGeom], h_in: int, w_in: int) -> RFInfo
         jump *= layer.stride
         h = _out_size(h, layer)
         w = _out_size(w, layer)
-    return RFInfo(rf_h=rf, rf_w=rf, h_out=h, w_out=w, stride_product=jump)
+    return RFInfo(rf_h=rf, rf_w=rf, h_out=h, w_out=w)
 
 
 def enumerate_regions(h_in: int, w_in: int, h_p: int, w_p: int) -> List[PatchRegion]:
@@ -121,74 +115,47 @@ def enumerate_regions(h_in: int, w_in: int, h_p: int, w_p: int) -> List[PatchReg
             for l in range(w_in - w_p + 1)]
 
 
-def _propagate_interval(lo: int, hi: int, size: int,
-                        layers: Sequence[LayerGeom]) -> Tuple[int, int, int]:
-    """Map an inclusive input interval [lo, hi] to the inclusive interval of
-    output positions whose kernel windows touch it. Returns (lo, hi, out_size);
-    lo > hi encodes the empty interval."""
-    for layer in layers:
-        n_out = _out_size(size, layer)
-        if lo > hi:
-            lo, hi, size = 1, 0, n_out
-            continue
-        # output j reads padded window [j*s - p, j*s - p + k - 1]
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        new_lo = -((-(lo + p - k + 1)) // s)  # ceil((lo + p - k + 1)/s)
-        new_hi = (hi + p) // s
-        lo = max(new_lo, 0)
-        hi = min(new_hi, n_out - 1)
-        size = n_out
-    return lo, hi, size
-
-
 def dependency_region(region: PatchRegion, layers: Sequence[LayerGeom],
                       h_in: int, w_in: int) -> DependencyRegion:
     """Exact per-layer interval propagation of the patch rectangle to output
     space. For all-stride-1 stacks this reduces to the closed form
-    |i - i~| <= rf//2 clipped to the grid."""
-    validate_region(region, h_in, w_in)
-    r_lo, r_hi, _ = _propagate_interval(
-        region.top, region.top + region.height - 1, h_in, layers)
-    c_lo, c_hi, _ = _propagate_interval(
-        region.left, region.left + region.width - 1, w_in, layers)
-    if r_lo > r_hi or c_lo > c_hi:
-        return DependencyRegion(0, 0, 0, 0)
-    return DependencyRegion(r_lo, r_hi + 1, c_lo, c_hi + 1)
+    |i - i~| <= rf//2 clipped to the grid. The one-region case of
+    dependency_rects."""
+    r0, r1, c0, c1, _ = (int(v[0]) for v in dependency_rects([region], layers, h_in, w_in))
+    return DependencyRegion(r0, r1, c0, c1)
 
 
 def dependency_rects(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],
                      h_in: int, w_in: int):
     """Vectorized dependency rectangles for a region set: arrays
-    (r0, r1, c0, c1, area), half-open, aligned with `regions`. Rows depend
-    only on (top, height) and columns only on (left, width), so each distinct
-    interval is propagated once and the results are broadcast."""
-    boxes = np.array([(r.top, r.height, r.left, r.width) for r in regions],
+    (r0, r1, c0, c1, area), half-open, aligned with `regions`; an empty
+    rectangle is (0, 0, 0, 0)."""
+    boxes = np.array([(r.top, r.left, r.height, r.width) for r in regions],
                      dtype=np.int64).reshape(-1, 4)
-    outside = ((boxes[:, 0] + boxes[:, 1] > h_in) | (boxes[:, 2] + boxes[:, 3] > w_in))
+    outside = (boxes[:, :2] + boxes[:, 2:] > (h_in, w_in)).any(axis=1)
     if outside.any():
         validate_region(regions[int(outside.argmax())], h_in, w_in)
-    r0, r1 = _propagate_intervals(boxes[:, 0], boxes[:, 1], h_in, layers)
-    c0, c1 = _propagate_intervals(boxes[:, 2], boxes[:, 3], w_in, layers)
-    empty = (r0 == r1) | (c0 == c1)
-    r0, r1, c0, c1 = (np.where(empty, 0, v) for v in (r0, r1, c0, c1))
-    area = (r1 - r0) * (c1 - c0)
-    return r0, r1, c0, c1, area
+    (r0, c0), (r1, c1) = _propagate_intervals(boxes[:, :2], boxes[:, 2:], (h_in, w_in), layers)
+    return r0, r1, c0, c1, (r1 - r0) * (c1 - c0)
 
 
-def _propagate_intervals(starts: np.ndarray, lengths: np.ndarray, size: int,
+def _propagate_intervals(starts: np.ndarray, lengths: np.ndarray, size: Tuple[int, int],
                          layers: Sequence[LayerGeom]) -> Tuple[np.ndarray, np.ndarray]:
-    """Half-open output intervals [lo, hi) of the input intervals
-    [start, start + length), propagating each distinct interval once; an
-    empty result is (0, 0)."""
-    pairs, inverse = np.unique(np.stack([starts, lengths], axis=1), axis=0,
-                               return_inverse=True)
-    out = np.zeros((len(pairs), 2), dtype=np.int64)
-    for i, (start, length) in enumerate(pairs.tolist()):
-        lo, hi, _ = _propagate_interval(start, start + length - 1, size, layers)
-        if lo <= hi:
-            out[i] = lo, hi + 1
-    out = out[inverse.reshape(-1)]
-    return out[:, 0], out[:, 1]
+    """Half-open output intervals (lo, hi), each (2, n) rows then columns, of
+    the (n, 2) input intervals [start, start + length) on a `size` input:
+    layer by layer, as arrays, each inclusive interval becomes the one of
+    output positions whose kernel windows touch it. A rectangle that becomes
+    empty along either axis stays empty, and comes out as (0, 0) on both."""
+    lo, hi, size = starts, starts + lengths - 1, np.array(size)
+    empty = np.zeros(len(starts), dtype=bool)
+    for layer in layers:
+        # output j reads padded window [j*s - p, j*s - p + k - 1]
+        k, s, p = layer.kernel, layer.stride, layer.padding
+        size = _out_size(size, layer)
+        lo = np.maximum(-(-(lo + p - k + 1) // s), 0)  # ceil((lo + p - k + 1)/s)
+        hi = np.minimum((hi + p) // s, size - 1)
+        empty |= (lo > hi).any(axis=1)
+    return np.where(empty[:, None], 0, lo).T, np.where(empty[:, None], 0, hi + 1).T
 
 
 def r_max(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],

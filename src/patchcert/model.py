@@ -21,8 +21,8 @@ CHECKPOINT_VERSION = 1
 
 HEADS = ("heaviside_st", "sigmoid", "softmax_channel")  # binary, then the relaxed heads
 
-NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
+MAP_BATCH = 128  # images per forward in forward_maps
 
 # Kernel assignment per residual block for each named receptive field; the
 # stem is always a 3x3 convolution and the head a 1x1.
@@ -233,7 +233,7 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
         padding = tuple(0 if v else k // 2 for v in valid)
         return core.conv2d(inp, t[conv + ".kernel"], padding=padding, norm=stats, skip=skip,
                            relu=True, momentum=NORM_MOMENTUM if training else None,
-                           eps=NORM_EPS, tape=tape, ws=ws, layer=conv)
+                           tape=tape, ws=ws, layer=conv)
 
     h = conv_norm_relu(x, "stem", "stem.norm", spec.stem_kernel)
     for i, k in enumerate(spec.block_kernels):
@@ -246,24 +246,21 @@ def forward(params: Parameters, spec: NetworkSpec, x, mode: Optional[str] = None
     return logits, scores
 
 
-def forward_maps(params: Parameters, spec: NetworkSpec, images: np.ndarray,
-                 batch: int) -> np.ndarray:
-    """Score maps of a whole image array, forwarded `batch` images at a time;
-    an empty (0, h_out, w_out, C) float32 array for no images.
+def forward_maps(params: Parameters, spec: NetworkSpec, images: np.ndarray) -> np.ndarray:
+    """Score maps of a whole image array, forwarded MAP_BATCH images at a
+    time; an empty (0, h_out, w_out, C) float32 array for no images.
 
     Each conv of a batch runs in tiles of whole images (core.conv2d), so
     the batch sets how many layer outputs are alive at once, not the size of
     a column matrix, and the maps are the bits of a one-tile (taped) forward
     of the same batch. Another batch size can still put a matmul under
     another BLAS kernel: binary maps could then differ only where a logit
-    sits at 0, relaxed ones in the last bits, so callers keep their batch
-    fixed."""
-    if batch < 1:
-        raise ValueError(f"forward_maps batch must be at least 1, got {batch}")
+    sits at 0, relaxed ones in the last bits, so every caller forwards in
+    batches of MAP_BATCH."""
     if not len(images):
         return np.zeros((0, *spec.output_shape()), dtype=np.float32)
-    return np.concatenate([forward(params, spec, images[lo:lo + batch])[1].data
-                           for lo in range(0, len(images), batch)])
+    return np.concatenate([forward(params, spec, images[lo:lo + MAP_BATCH])[1].data
+                           for lo in range(0, len(images), MAP_BATCH)])
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,10 @@ def write_manifest(out_dir, subcommand: str, config: Dict, seed: int) -> RunMani
     return manifest
 
 
-def worker_count(requested: Optional[int] = None) -> int:
-    """Parallelism cap: min(requested, PATCHCERT_THREADS, CPUs this process
-    may run on). The CPUs are the process's affinity set where the platform
-    reports one, so taskset and cpusets count, and every CPU elsewhere."""
+def worker_count() -> int:
+    """Parallelism cap: min(PATCHCERT_THREADS, CPUs this process may run
+    on). The CPUs are the process's affinity set where the platform reports
+    one, so taskset and cpusets count, and every CPU elsewhere."""
     if hasattr(os, "sched_getaffinity"):
         cap = len(os.sched_getaffinity(0))
     else:
@@ -97,6 +97,4 @@ def worker_count(requested: Optional[int] = None) -> int:
             cap = min(cap, max(1, int(env)))
         except ValueError:
             raise ValueError(f"PATCHCERT_THREADS must be an integer, got {env!r}")
-    if requested is not None:
-        cap = min(cap, max(1, requested))
     return cap

@@ -211,11 +211,10 @@ class TrainResult:
 
 
 def _evaluate(params: Parameters, spec: NetworkSpec, images: np.ndarray,
-              labels: np.ndarray, mode: str, rects, rmax: int,
-              batch: int = 64) -> Tuple[float, float, float]:
+              labels: np.ndarray, mode: str, rects, rmax: int) -> Tuple[float, float, float]:
     """Clean and certified accuracy (conditions on sums and on the global
-    margin) over an evaluation split."""
-    maps = model.forward_maps(params, spec, images, batch)
+    margin) over an evaluation split, from the maps `certify` would take."""
+    maps = model.forward_maps(params, spec, images)
     if mode == "heaviside_st":
         res = certify.certify_batch(maps, labels, rects, rmax)
         clean = float((res.predicted == labels).mean())

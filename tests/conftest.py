@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from patchcert import certify, core, geometry, model
-from patchcert.attack import apply_patch, select_region_and_target
+from patchcert.attack import ATTACK_MARGIN, apply_patch, select_region_and_target
 
 
 def naive_conv2d(x, kernel, stride=1, padding=0):
@@ -86,6 +86,16 @@ def rng():
     return np.random.default_rng(0)
 
 
+def relu(x, *, tape=None):
+    """Elementwise max(x, 0) as its own taped op, the unfused reference of
+    conv2d's fused ReLU."""
+    x = core.as_tensor(x)
+    out = core.Tensor(np.maximum(x.data, 0))
+    if tape is not None:
+        tape.record(out, (x,), lambda g: (g * (x.data > 0),))
+    return out
+
+
 def reference_forward(params, spec, x, mode=None, *, tape=None, training=False):
     """Unfused scorer forward: every conv, running-statistics norm, residual
     add and ReLU is its own taped op, and training moves the running
@@ -98,13 +108,13 @@ def reference_forward(params, spec, x, mode=None, *, tape=None, training=False):
         var = t[name + ".running_var"].data
         batch_mean, batch_var = z.data.mean(axis=(0, 1, 2)), z.data.var(axis=(0, 1, 2))
         y = core.channel_affine(z, t[name + ".gamma"], t[name + ".beta"], mean.copy(),
-                                var.copy(), eps=model.NORM_EPS, tape=tape)
+                                var.copy(), tape=tape)
         if training:
             mean += model.NORM_MOMENTUM * (batch_mean.astype(mean.dtype) - mean)
             var += model.NORM_MOMENTUM * (batch_var.astype(var.dtype) - var)
         if skip is not None:
             y = core.add(skip, y, tape=tape)
-        return core.activation(y, "relu", tape=tape)
+        return relu(y, tape=tape)
 
     h = core.conv2d(x, t["stem.kernel"], padding=spec.stem_kernel // 2, tape=tape)
     h = norm_relu(h, "stem.norm")
@@ -145,8 +155,8 @@ def reference_pgd_patch_attack(params, spec, x, c_t, config):
         _, scores = model.forward(params, spec, adv, "heaviside_st", tape=tape)
         sums = core.class_sums(scores, tape=tape)
         u = (sums.data[0, c_t] - sums.data[0, target]) / area
-        clamped = u >= config.margin
-        loss = core.Tensor(np.asarray(-(config.margin if clamped else u), dtype=sums.dtype))
+        clamped = u >= ATTACK_MARGIN
+        loss = core.Tensor(np.asarray(-(ATTACK_MARGIN if clamped else u), dtype=sums.dtype))
 
         def backward(g, clamped=clamped, sums=sums):
             gs = np.zeros_like(sums.data)

@@ -579,7 +579,6 @@ class TestEntryPoint:
         monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3}, raising=False)
         assert worker_count() == 1
-        assert worker_count(4) == 1
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert worker_count() == 3
         monkeypatch.setenv("PATCHCERT_THREADS", "2")

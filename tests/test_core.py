@@ -7,7 +7,7 @@ import pytest
 from patchcert import core, model
 from patchcert.core import AdamState, GradTape, Tensor, adam_step
 
-from conftest import central_differences, naive_conv2d
+from conftest import central_differences, naive_conv2d, relu as reference_relu
 
 
 class TestConv2d:
@@ -253,7 +253,7 @@ class TestTapeComposition:
     def test_fused_conv_backward(self):
         """The folded backward of conv -> norm -> + skip (-> ReLU) matches
         central finite differences in float64 on every input, and so does the
-        unfused chain of conv2d, channel_affine, add and activation."""
+        unfused chain of conv2d, channel_affine, add and the reference ReLU."""
         for k, relu in itertools.product((3, 1), (True, False)):
             rng = np.random.default_rng(10 * k + relu)
             x = Tensor(rng.standard_normal((2, 4, 4, 3)))
@@ -274,7 +274,7 @@ class TestTapeComposition:
                 y = core.conv2d(x, kernel, padding=k // 2, tape=tape)
                 y = core.channel_affine(y, gamma, beta, mean, var, tape=tape)
                 y = core.add(y, skip, tape=tape)
-                return core.activation(y, "relu", tape=tape) if relu else y
+                return reference_relu(y, tape=tape) if relu else y
 
             # ReLU is not differentiable at 0: FD steps of 1e-6 must not cross it
             pre = core.conv2d(x, kernel, padding=k // 2, norm=(gamma, beta, mean, var),

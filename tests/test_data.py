@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchcert.data import (CIFAR_RECORD, CIFAR_TEST_FILE, CIFAR_TRAIN_FILES,
-                            LabeledImage, augment,
+                            DatasetHandle, LabeledImage, augment,
                             decode_records, encode_records, export_records,
                             flip_horizontal, load_cifar10_split, pad_crop,
                             synth_textures)
@@ -123,13 +123,13 @@ class TestSynthTextures:
         assert accuracy >= 0.95
 
     def test_export_roundtrip_layout(self, tmp_path):
-        ds = synth_textures(5, 16, 16, seed=3)
+        gray = synth_textures(5, 32, 32, seed=3)
+        ds = DatasetHandle(np.repeat(gray.images, 3, axis=3), gray.labels, "train", gray.source)
         path = tmp_path / "synth.bin"
         export_records(ds, path)
         blob = path.read_bytes()
-        record = 1 + 16 * 16 * 1
-        assert len(blob) == len(ds) * record
-        images, labels = decode_records(blob, h=16, w=16, c=1, n_classes=2)
+        assert len(blob) == len(ds) * CIFAR_RECORD
+        images, labels = decode_records(blob)
         assert np.array_equal(labels, ds.labels)
         # quantization round trip: within half a byte step
         assert np.abs(images - ds.images).max() <= (0.5 / 255) + 1e-7

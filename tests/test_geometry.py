@@ -10,6 +10,28 @@ from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
 from conftest import positive_chain_forward
 
 
+def contains(outer, inner):
+    """Whether the patch region `outer` covers the region `inner`."""
+    return (outer.top <= inner.top and outer.left <= inner.left
+            and outer.top + outer.height >= inner.top + inner.height
+            and outer.left + outer.width >= inner.left + inner.width)
+
+
+def reference_interval(lo, hi, size, layers):
+    """Scalar reference of the per-layer interval propagation: the inclusive
+    input interval [lo, hi] becomes, layer by layer, the output positions
+    whose kernel windows touch it (output j reads padded inputs j*s - p to
+    j*s - p + k - 1), and an empty one stays empty. Returns half-open
+    (lo, hi + 1), or (0, 0) if empty."""
+    for layer in layers:
+        k, s, p = layer.kernel, layer.stride, layer.padding
+        n_out = (size + 2 * p - k) // s + 1
+        if lo <= hi:
+            lo, hi = max(-(-(lo + p - k + 1) // s), 0), min((hi + p) // s, n_out - 1)
+        size = n_out
+    return (lo, hi + 1) if lo <= hi else (0, 0)
+
+
 def stack(*kernels, strides=None):
     strides = strides or [1] * len(kernels)
     return [LayerGeom(kernel=k, stride=s) for k, s in zip(kernels, strides)]
@@ -100,7 +122,7 @@ class TestDependencyRegion:
             inner = PatchRegion(top + 1, left + 1, max(1, h - 1), max(1, w - 1)) \
                 if h > 1 and w > 1 else PatchRegion(top, left, h, w)
             outer = PatchRegion(top, left, h + 2, w + 2)
-            assert outer.contains(inner)
+            assert contains(outer, inner)
             d_in = dependency_region(inner, layers, 20, 20)
             d_out = dependency_region(outer, layers, 20, 20)
             assert d_out.row_start <= d_in.row_start <= d_in.row_stop <= d_out.row_stop
@@ -114,6 +136,17 @@ class TestDependencyRegion:
         dep = dependency_region(PatchRegion(2, 2, 1, 1), layers, 8, 8)
         assert dep.size == 1
         assert (dep.row_start, dep.col_start) == (1, 1)
+
+    def test_empty_region_stays_empty_through_later_layers(self):
+        """A pixel the stride-2 1x1 conv drops reaches no output: the 3x3 conv
+        after it must not turn the empty interval into the half-open (0, 2)."""
+        layers = [LayerGeom(1, stride=2), LayerGeom(3)]
+        dep = dependency_region(PatchRegion(1, 1, 1, 1), layers, 8, 8)
+        assert (dep.row_start, dep.row_stop, dep.col_start, dep.col_stop) == (0, 0, 0, 0)
+        assert dep.is_empty
+        rects = dependency_rects([PatchRegion(1, 1, 1, 1), PatchRegion(2, 2, 1, 1)],
+                                 layers, 8, 8)
+        assert [v.tolist() for v in rects] == [[0, 0], [0, 3], [0, 0], [0, 3], [0, 9]]
 
 
 class TestPerturbationOracle:
@@ -211,8 +244,9 @@ class TestValidation:
                 min_size=1, max_size=5),
        st.integers(1, 20), st.integers(1, 20), st.data())
 def test_dependency_rects_match_dependency_region(layers, h_in, w_in, draw):
-    """The vectorized rectangles equal the per-region propagation, region by
-    region, on full, shuffled and partial region lists."""
+    """The vectorized rectangles equal the scalar reference propagation and
+    the one-region calls, region by region, on full, shuffled and partial
+    region lists."""
     ph, pw = draw.draw(st.integers(1, h_in)), draw.draw(st.integers(1, w_in))
     regions = enumerate_regions(h_in, w_in, ph, pw)
     regions = draw.draw(st.permutations(regions) | st.just(regions))
@@ -221,9 +255,14 @@ def test_dependency_rects_match_dependency_region(layers, h_in, w_in, draw):
     assert all(a.dtype == np.int64 and a.shape == (len(regions),)
                for a in (r0, r1, c0, c1, area))
     for i, region in enumerate(regions):
+        rows = reference_interval(region.top, region.top + region.height - 1, h_in, layers)
+        cols = reference_interval(region.left, region.left + region.width - 1, w_in, layers)
+        if rows[0] == rows[1] or cols[0] == cols[1]:
+            rows = cols = (0, 0)
+        want = (*rows, *cols, (rows[1] - rows[0]) * (cols[1] - cols[0]))
+        assert (r0[i], r1[i], c0[i], c1[i], area[i]) == want
         dep = dependency_region(region, layers, h_in, w_in)
-        assert (r0[i], r1[i], c0[i], c1[i], area[i]) == (
-            dep.row_start, dep.row_stop, dep.col_start, dep.col_stop, dep.size)
+        assert (dep.row_start, dep.row_stop, dep.col_start, dep.col_stop, dep.size) == want
 
 
 def test_dependency_rects_reject_out_of_bounds_region():

@@ -92,7 +92,7 @@ class TestForward:
             with pytest.raises(ValueError, match=r"\[0,1\]"):
                 forward(small_params, small_spec, x, mode)
         with pytest.raises(ValueError, match=r"\[0,1\]"):
-            model.forward_maps(small_params, small_spec, x, 1)
+            model.forward_maps(small_params, small_spec, x)
 
     def test_rejects_wrong_shape(self, small_params, small_spec):
         with pytest.raises(ValueError, match="does not match spec"):
@@ -406,14 +406,8 @@ class TestTiledInputGradient:
 class TestForwardMaps:
     def test_no_images_give_an_empty_map_array(self, small_params, small_spec):
         images = np.zeros((0, *small_spec.input_shape), dtype=np.float32)
-        maps = model.forward_maps(small_params, small_spec, images, 4)
+        maps = model.forward_maps(small_params, small_spec, images)
         assert maps.shape == (0, *small_spec.output_shape()) and maps.dtype == np.float32
-
-    @pytest.mark.parametrize("batch", [0, -3])
-    def test_batch_below_one_rejected(self, small_params, small_spec, batch):
-        images = np.zeros((2, *small_spec.input_shape), dtype=np.float32)
-        with pytest.raises(ValueError, match=f"batch must be at least 1, got {batch}"):
-            model.forward_maps(small_params, small_spec, images, batch)
 
 
 class TestCheckpoint:

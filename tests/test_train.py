@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from patchcert import certify, geometry, model
 from patchcert import train as train_mod
 from patchcert.certify import certify_cheap
 from patchcert.core import GradTape, Tensor
 from patchcert.data import synth_textures
-from patchcert.model import cifar_spec
+from patchcert.model import build_model, cifar_spec
 from patchcert.train import (EpochMetrics, MetricsLog, TrainConfig, delta_sums,
                              lr_schedule, margin_loss, one_hot_penalty,
                              total_loss, train)
@@ -273,6 +274,30 @@ class TestTrainLoop:
         result = train(config, ds, spec)
         for m in result.metrics.epochs:
             assert m.cert33_acc <= m.cert32_acc <= m.clean_acc
+
+    def test_evaluation_certifies_the_maps_certify_takes(self, monkeypatch):
+        """The per-epoch certified accuracy is computed on forward_maps' maps,
+        bit for bit. Batches of 64 would split these 80 images into 64 + 16,
+        and a 16-image head matmul can run another BLAS kernel than an
+        80-image one, with other bits in the relaxed maps."""
+        spec = cifar_spec(5, input_shape=(16, 16, 1), width=64, classes=2,
+                          activation="sigmoid")
+        params = build_model(spec, 0)
+        ds = synth_textures(40, 16, 16, seed=4)
+        regions = geometry.enumerate_regions(16, 16, 3, 3)
+        rects = geometry.dependency_rects(regions, spec.layer_geom(), 16, 16)
+        seen = []
+        real = certify.certify_batch_relaxed
+
+        def spy(maps, *args):
+            seen.append(maps.copy())
+            return real(maps, *args)
+
+        monkeypatch.setattr(certify, "certify_batch_relaxed", spy)
+        train_mod._evaluate(params, spec, ds.images, ds.labels, "sigmoid", rects,
+                            int(rects[4].max()))
+        assert len(seen) == 1 and len(ds) == 80
+        assert np.array_equal(seen[0], model.forward_maps(params, spec, ds.images))
 
     def test_relaxed_modes_run(self):
         for mode in ("sigmoid", "softmax_channel"):
