@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Workspace, _buffer
 from .geometry import LayerGeom, PatchRegion, dependency_rects
-from .runio import worker_count
+from .runio import atomic_write_bytes, worker_count
 
 SCORE_MAP_MAGIC = b"PCSM"
 
@@ -548,7 +548,7 @@ def _global_margin(maps: np.ndarray, labels: np.ndarray, r_max: int):
 def save_score_maps(path, maps: np.ndarray) -> None:
     """Write one or more binary score maps as concatenated PCSM records:
     magic, three little-endian uint32 dims (h, w, c), one byte per entry in
-    row-major (h, w, c) order."""
+    row-major (h, w, c) order. The file is replaced whole or not at all."""
     maps = np.asarray(maps)
     if maps.ndim == 3:
         maps = maps[None]
@@ -557,8 +557,7 @@ def save_score_maps(path, maps: np.ndarray) -> None:
         m = validate_score_map(m)
         h, w, c = m.shape
         records.append(SCORE_MAP_MAGIC + struct.pack("<III", h, w, c) + m.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(records))
+    atomic_write_bytes(path, b"".join(records))
 
 
 def load_score_maps(path) -> List[np.ndarray]:

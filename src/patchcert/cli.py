@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import attack as attack_mod
-from . import certify, data, geometry, model, runio, train as train_mod
+from . import certify, core, data, geometry, model, runio, train as train_mod
 
 
 class ConfigError(ValueError):
@@ -205,8 +205,8 @@ def _build_spec(config: Dict, dataset: data.DatasetHandle) -> model.NetworkSpec:
     _check_rf("model.rf", m["rf"])
     if m["width"] < 1:
         raise ConfigError(f"model.width must be >= 1, got {m['width']}")
-    if m["activation"] not in model.HEADS:
-        raise ConfigError(f"model.activation must be one of {model.HEADS}, "
+    if m["activation"] not in core.ACTIVATION_MODES:
+        raise ConfigError(f"model.activation must be one of {core.ACTIVATION_MODES}, "
                           f"got {m['activation']!r}")
     classes = m["classes"]
     if classes <= 0:

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-ACTIVATION_MODES = ("heaviside_st", "sigmoid", "softmax_channel")
+ACTIVATION_MODES = ("heaviside_st", "sigmoid", "softmax_channel")  # binary, then the relaxed heads
 NORM_EPS = 1e-5  # the norm's inv = 1/sqrt(var + NORM_EPS), in conv2d and channel_affine
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -189,34 +189,31 @@ def _tile_count(b: int, image_cols: int, co: int, itemsize: int) -> int:
     return max(1, min(-(-b // per_budget), b // at_least))
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, cols: np.ndarray) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, cols: np.ndarray) -> np.ndarray:
     """Gather kernel windows of a padded (B,H,W,C) array into the given
     (B,Ho,Wo,kh,kw,C) buffer, in one copy from a strided view of the windows
-    (for stride 1 a window row's kw*C entries are contiguous on both sides)."""
-    ho, wo = cols.shape[1:3]
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :ho * stride:stride,
-                                                             :wo * stride:stride]
+    (a window row's kw*C entries are contiguous on both sides)."""
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
     np.copyto(cols, windows.transpose(0, 1, 2, 4, 5, 3))
     return cols
 
 
-def _col2im(gcols: np.ndarray, stride: int, gx: np.ndarray) -> None:
+def _col2im(gcols: np.ndarray, gx: np.ndarray) -> None:
     """Scatter-add (B,Ho,Wo,kh,kw,C) window gradients onto the padded input
     grid gx (B,H,W,C), in place."""
     b, ho, wo, kh, kw, c = gcols.shape
     for di in range(kh):
         for dj in range(kw):
-            gx[:, di:di + ho * stride:stride,
-               dj:dj + wo * stride:stride, :] += gcols[:, :, :, di, dj, :]
+            gx[:, di:di + ho, dj:dj + wo, :] += gcols[:, :, :, di, dj, :]
 
 
-def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[int, int]] = 0,
+def conv2d(x, kernel, bias=None, *, padding: Union[int, Tuple[int, int]] = 0,
            norm: Optional[tuple] = None, skip=None, relu: bool = False,
            momentum: Optional[float] = None,
            tape: Optional[GradTape] = None, ws: Optional[Workspace] = None,
            layer: Optional[str] = None) -> Tensor:
-    """Cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout) kernel
-    (output size floor((in + 2*padding - k)/stride) + 1 per axis; `padding` is
+    """Stride-1 cross-correlation of a (B,H,W,Cin) input with a (kh,kw,Cin,Cout)
+    kernel (output size in + 2*padding - k + 1 per axis; `padding` is
     one size for both axes or a (rows, columns) pair), then optionally
     a norm, a residual add of `skip` and a ReLU in place, under one tape record.
 
@@ -268,19 +265,19 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
             f"channel mismatch: input shape {x.shape} has {x.shape[3]} channels, "
             f"kernel shape {kernel.shape} expects {ci}")
     pad_h, pad_w = (padding, padding) if isinstance(padding, int) else padding
-    if stride < 1 or min(pad_h, pad_w) < 0:
-        raise ValueError(f"invalid stride/padding ({stride}, {padding})")
+    if min(pad_h, pad_w) < 0:
+        raise ValueError(f"invalid padding {padding}")
     if bias is not None and norm is not None:
         raise ValueError("conv2d takes a bias or a norm, not both")
     b = x.shape[0]
-    ho = (x.shape[1] + 2 * pad_h - kh) // stride + 1
-    wo = (x.shape[2] + 2 * pad_w - kw) // stride + 1
+    ho = x.shape[1] + 2 * pad_h - kh + 1
+    wo = x.shape[2] + 2 * pad_w - kw + 1
     if skip is not None and skip.shape != (b, ho, wo, co):
         raise ValueError(f"skip shape {skip.shape} does not match the output {(b, ho, wo, co)}")
     if ws is not None and layer is None:
         raise ValueError("conv2d with a workspace needs a layer name")
 
-    direct = kh == 1 and stride == 1  # the (padded) input already is the column matrix
+    direct = kh == 1  # the (padded) input already is the column matrix
     h, w, p, q = x.shape[1], x.shape[2], pad_h, pad_w
     xp_shape = (b, h + 2 * p, w + 2 * q, ci)  # the backward keeps the shape, not the padded copy
     cols_shape = (b, ho, wo, kh, kw, ci)
@@ -306,7 +303,7 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
         if p or q:
             xp = xp_tile[:hi - lo]
             xp[:, p:p + h, q:q + w] = x.data[lo:hi]
-        cols = xp if direct else _im2col(xp, kh, kw, stride, cols_tile[:hi - lo])
+        cols = xp if direct else _im2col(xp, kh, kw, cols_tile[:hi - lo])
         flat = cols.reshape(-1, kh * kw * ci)
         zt = np.matmul(flat, kmat, out=z[lo * ho * wo:hi * ho * wo])
         if bias is not None:
@@ -374,7 +371,7 @@ def conv2d(x, kernel, bias=None, *, stride: int = 1, padding: Union[int, Tuple[i
                         lo, hi = b * i // n_x, b * (i + 1) // n_x
                         np.matmul(g_flat[lo * ho * wo:hi * ho * wo], k_eff.T,
                                   out=g_cols[:hi - lo].reshape((hi - lo) * ho * wo, -1))
-                        _col2im(g_cols[:hi - lo], stride, g_xp[lo:hi])
+                        _col2im(g_cols[:hi - lo], g_xp[lo:hi])
                 g_x = g_xp[:, p:p + h, q:q + w]
             if g_kernel is not None:
                 g_kernel = g_kernel.reshape(kernel.shape)

@@ -19,12 +19,6 @@ CROP_PAD = 4
 
 
 @dataclass(frozen=True)
-class LabeledImage:
-    pixels: np.ndarray  # (h, w, c) float32 in [0,1]
-    label: int
-
-
-@dataclass(frozen=True)
 class DatasetHandle:
     """An in-memory split with deterministic iteration order."""
 
@@ -35,9 +29,6 @@ class DatasetHandle:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledImage:
-        return LabeledImage(pixels=self.images[i], label=int(self.labels[i]))
 
     @property
     def image_shape(self) -> Tuple[int, int, int]:
@@ -136,11 +127,11 @@ def pad_crop(pixels: np.ndarray, top: int, left: int) -> np.ndarray:
     return padded[top:top + h, left:left + w, :].copy()
 
 
-def augment(image: LabeledImage, rng: np.random.Generator) -> LabeledImage:
-    """Random horizontal flip then random crop on a zero-padded canvas."""
-    pixels = image.pixels
+def augment(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random horizontal flip then random crop on a zero-padded canvas, of
+    one (h, w, c) image."""
     if rng.random() < 0.5:
         pixels = flip_horizontal(pixels)
     top = int(rng.integers(0, 2 * CROP_PAD + 1))
     left = int(rng.integers(0, 2 * CROP_PAD + 1))
-    return LabeledImage(pixels=pad_crop(pixels, top, left), label=image.label)
+    return pad_crop(pixels, top, left)

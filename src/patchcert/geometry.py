@@ -1,10 +1,10 @@
-"""Receptive-field geometry: feasible patch placements, per-layer interval
-propagation, and the output rectangle a patch can influence."""
+"""Receptive-field geometry of stride-1, same-padded layer stacks: feasible
+patch placements, and the output rectangle a patch can influence."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -35,21 +35,14 @@ def validate_region(region: PatchRegion, h_in: int, w_in: int) -> None:
 @dataclass(frozen=True)
 class LayerGeom:
     """Spatial geometry of one layer (a residual block counts as one entry
-    with its single spatial kernel)."""
+    with its single spatial kernel): stride 1 with 'same' padding, the only
+    geometry the model has."""
 
     kernel: int
-    stride: int = 1
 
     def __post_init__(self):
         if self.kernel not in (1, 3):
             raise ValueError(f"kernel must be 1 or 3, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-
-    @property
-    def padding(self) -> int:
-        """'Same' padding, the only one the model uses."""
-        return self.kernel // 2
 
 
 @dataclass(frozen=True)
@@ -63,16 +56,11 @@ class DependencyRegion:
 
     @property
     def size(self) -> int:
-        return max(0, self.row_stop - self.row_start) * max(0, self.col_stop - self.col_start)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.size == 0
+        return (self.row_stop - self.row_start) * (self.col_stop - self.col_start)
 
     def as_mask(self, h_out: int, w_out: int) -> np.ndarray:
         mask = np.zeros((h_out, w_out), dtype=bool)
-        if not self.is_empty:
-            mask[self.row_start:self.row_stop, self.col_start:self.col_stop] = True
+        mask[self.row_start:self.row_stop, self.col_start:self.col_stop] = True
         return mask
 
 
@@ -84,24 +72,12 @@ class RFInfo:
     w_out: int
 
 
-def _out_size(size: int, layer: LayerGeom) -> int:
-    return (size + 2 * layer.padding - layer.kernel) // layer.stride + 1
-
-
 def receptive_field(layers: Sequence[LayerGeom], h_in: int, w_in: int) -> RFInfo:
-    """Compose kernel/stride geometry: rf grows by (k-1)*jump per layer and the
-    jump multiplies by the stride."""
+    """rf = 1 + sum(k - 1) over the layers; the output grid is the input's."""
     if not layers:
         raise ValueError("layer list must be non-empty")
-    rf = 1
-    jump = 1
-    h, w = h_in, w_in
-    for layer in layers:
-        rf += (layer.kernel - 1) * jump
-        jump *= layer.stride
-        h = _out_size(h, layer)
-        w = _out_size(w, layer)
-    return RFInfo(rf_h=rf, rf_w=rf, h_out=h, w_out=w)
+    rf = 1 + sum(layer.kernel - 1 for layer in layers)
+    return RFInfo(rf_h=rf, rf_w=rf, h_out=h_in, w_out=w_in)
 
 
 def enumerate_regions(h_in: int, w_in: int, h_p: int, w_p: int) -> List[PatchRegion]:
@@ -117,9 +93,7 @@ def enumerate_regions(h_in: int, w_in: int, h_p: int, w_p: int) -> List[PatchReg
 
 def dependency_region(region: PatchRegion, layers: Sequence[LayerGeom],
                       h_in: int, w_in: int) -> DependencyRegion:
-    """Exact per-layer interval propagation of the patch rectangle to output
-    space. For all-stride-1 stacks this reduces to the closed form
-    |i - i~| <= rf//2 clipped to the grid. The one-region case of
+    """The output rectangle a patch can affect: the one-region case of
     dependency_rects."""
     r0, r1, c0, c1, _ = (int(v[0]) for v in dependency_rects([region], layers, h_in, w_in))
     return DependencyRegion(r0, r1, c0, c1)
@@ -128,34 +102,18 @@ def dependency_region(region: PatchRegion, layers: Sequence[LayerGeom],
 def dependency_rects(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],
                      h_in: int, w_in: int):
     """Vectorized dependency rectangles for a region set: arrays
-    (r0, r1, c0, c1, area), half-open, aligned with `regions`; an empty
-    rectangle is (0, 0, 0, 0)."""
+    (r0, r1, c0, c1, area), half-open, aligned with `regions`. Output cell
+    (i, j) reads the input cells within rf//2 of it along each axis, so a
+    region grows by rf//2 per side, clipped to the grid; it is never empty."""
     boxes = np.array([(r.top, r.left, r.height, r.width) for r in regions],
                      dtype=np.int64).reshape(-1, 4)
     outside = (boxes[:, :2] + boxes[:, 2:] > (h_in, w_in)).any(axis=1)
     if outside.any():
         validate_region(regions[int(outside.argmax())], h_in, w_in)
-    (r0, c0), (r1, c1) = _propagate_intervals(boxes[:, :2], boxes[:, 2:], (h_in, w_in), layers)
+    half = sum(layer.kernel // 2 for layer in layers)  # rf//2: each layer's padding
+    r0, c0 = np.maximum(boxes[:, :2] - half, 0).T
+    r1, c1 = np.minimum(boxes[:, :2] + boxes[:, 2:] + half, (h_in, w_in)).T
     return r0, r1, c0, c1, (r1 - r0) * (c1 - c0)
-
-
-def _propagate_intervals(starts: np.ndarray, lengths: np.ndarray, size: Tuple[int, int],
-                         layers: Sequence[LayerGeom]) -> Tuple[np.ndarray, np.ndarray]:
-    """Half-open output intervals (lo, hi), each (2, n) rows then columns, of
-    the (n, 2) input intervals [start, start + length) on a `size` input:
-    layer by layer, as arrays, each inclusive interval becomes the one of
-    output positions whose kernel windows touch it. A rectangle that becomes
-    empty along either axis stays empty, and comes out as (0, 0) on both."""
-    lo, hi, size = starts, starts + lengths - 1, np.array(size)
-    empty = np.zeros(len(starts), dtype=bool)
-    for layer in layers:
-        # output j reads padded window [j*s - p, j*s - p + k - 1]
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        size = _out_size(size, layer)
-        lo = np.maximum(-(-(lo + p - k + 1) // s), 0)  # ceil((lo + p - k + 1)/s)
-        hi = np.minimum((hi + p) // s, size - 1)
-        empty |= (lo > hi).any(axis=1)
-    return np.where(empty[:, None], 0, lo).T, np.where(empty[:, None], 0, hi + 1).T
 
 
 def r_max(regions: Sequence[PatchRegion], layers: Sequence[LayerGeom],

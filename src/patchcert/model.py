@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
@@ -15,11 +14,10 @@ import numpy as np
 from . import core
 from .core import GradTape, Tensor
 from .geometry import LayerGeom, receptive_field
+from .runio import atomic_write_bytes
 
 CHECKPOINT_MAGIC = b"PCKP"
 CHECKPOINT_VERSION = 1
-
-HEADS = ("heaviside_st", "sigmoid", "softmax_channel")  # binary, then the relaxed heads
 
 NORM_MOMENTUM = 0.1
 MAP_BATCH = 128  # images per forward in forward_maps
@@ -51,7 +49,11 @@ class NetworkSpec:
     def __post_init__(self):
         if len(self.block_kernels) != len(self.block_strides):
             raise ValueError("block_kernels and block_strides must have equal length")
-        if self.activation not in HEADS:
+        if any(s != 1 for s in self.block_strides):
+            raise ValueError(
+                f"spec {self.name!r} uses block strides {self.block_strides}; models are "
+                "stride-1 only")
+        if self.activation not in core.ACTIVATION_MODES:
             raise ValueError(f"unknown head activation {self.activation!r}")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ValueError(f"input_shape must be three positive sizes, got {self.input_shape}")
@@ -63,16 +65,10 @@ class NetworkSpec:
     def layer_geom(self) -> List[LayerGeom]:
         """One entry per spatial stage: stem, each block (its one spatial
         conv), and the 1x1 head."""
-        layers = [LayerGeom(kernel=self.stem_kernel)]
-        layers += [LayerGeom(kernel=k, stride=s)
-                   for k, s in zip(self.block_kernels, self.block_strides)]
-        layers.append(LayerGeom(kernel=1))
-        return layers
+        return [LayerGeom(kernel=k) for k in (self.stem_kernel, *self.block_kernels, 1)]
 
     def output_shape(self) -> Tuple[int, int, int]:
-        h_in, w_in, _ = self.input_shape
-        info = receptive_field(self.layer_geom(), h_in, w_in)
-        return info.h_out, info.w_out, self.classes
+        return (*self.input_shape[:2], self.classes)
 
 
 def cifar_spec(rf: int, *, input_shape=(32, 32, 3), width: int = 64,
@@ -113,10 +109,6 @@ class Parameters:
 
 def parameter_shapes(spec: NetworkSpec) -> Dict[str, Tuple[int, ...]]:
     """Name and shape of every array of the spec's model, in build order."""
-    if any(s != 1 for s in spec.block_strides):
-        raise ValueError(
-            f"spec {spec.name!r} uses strided blocks; identity-skip models are "
-            "stride-1 only")
     shapes: Dict[str, Tuple[int, ...]] = {}
 
     def conv(name: str, k: int, ci: int, co: int, bias: bool = False):
@@ -285,11 +277,7 @@ def save_checkpoint(params: Parameters, spec: NetworkSpec, path, step: int = 0) 
         buf.write(struct.pack("<B", data.ndim))
         buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
         buf.write(data.astype("<f4").tobytes())
-    blob = buf.getvalue()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Tuple[Parameters, NetworkSpec, int]:

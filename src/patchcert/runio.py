@@ -20,11 +20,23 @@ MANIFEST_VERSION = 1
 CSV_SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write `data` to a sibling temporary file, then rename it over `path`:
+    a write that fails leaves whatever `path` held before, and no temporary
+    file."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -280,8 +280,7 @@ def train(config: TrainConfig, dataset: DatasetHandle,
         for lo in range(0, len(perm), config.batch_size):
             idx = perm[lo:lo + config.batch_size]
             if config.augment:
-                batch = np.stack([augment(dataset[int(i)], augment_rng).pixels
-                                  for i in idx])
+                batch = np.stack([augment(dataset.images[i], augment_rng) for i in idx])
             else:
                 batch = dataset.images[idx]
             lr = lr_schedule(step, total_steps, warmup_steps, config.lr)

@@ -10,20 +10,20 @@ from patchcert import certify, core, geometry, model
 from patchcert.attack import ATTACK_MARGIN, apply_patch, select_region_and_target
 
 
-def naive_conv2d(x, kernel, stride=1, padding=0):
-    """Reference cross-correlation with explicit loops over every output."""
+def naive_conv2d(x, kernel, padding=0):
+    """Reference stride-1 cross-correlation with explicit loops over every output."""
     x = np.asarray(x)
     kernel = np.asarray(kernel)
     b, h, w, ci = x.shape
     kh, kw, _, co = kernel.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    ho = h + 2 * padding - kh + 1
+    wo = w + 2 * padding - kw + 1
     out = np.zeros((b, ho, wo, co), dtype=np.float64)
     for n in range(b):
         for i in range(ho):
             for j in range(wo):
-                window = xp[n, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
+                window = xp[n, i:i + kh, j:j + kw, :]
                 for o in range(co):
                     out[n, i, j, o] = np.sum(window * kernel[:, :, :, o])
     return out
@@ -54,13 +54,13 @@ def brute_force_certified(s, c_t, masks):
     return True
 
 
-def positive_chain_forward(x, kernels, strides, paddings):
-    """Forward through a stack of positive-weight convolutions with ReLU; with
-    positive inputs a perturbation always propagates to exactly the outputs
-    whose receptive fields cover it."""
+def positive_chain_forward(x, kernels):
+    """Forward through a stack of same-padded positive-weight convolutions
+    with ReLU; with positive inputs a perturbation always propagates to
+    exactly the outputs whose receptive fields cover it."""
     h = x
-    for kernel, stride, padding in zip(kernels, strides, paddings):
-        h = naive_conv2d(h, kernel, stride=stride, padding=padding)
+    for kernel in kernels:
+        h = naive_conv2d(h, kernel, padding=kernel.shape[0] // 2)
         h = np.maximum(h, 0.0)
     return h
 

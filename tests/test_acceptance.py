@@ -187,11 +187,9 @@ def test_criterion_5_gradient_checks():
     config = TrainConfig(margin=0.5, one_hot_weight=0.5, epochs=2, warmup_epochs=0)
 
     def loss_tensor(tape=None):
-        h = core.conv2d(Tensor(x), params["k1"], params["b1"], stride=1,
-                        padding=1, tape=tape)
+        h = core.conv2d(Tensor(x), params["k1"], params["b1"], padding=1, tape=tape)
         h = core.activation(h, "sigmoid", tape=tape)
-        logits = core.conv2d(h, params["k2"], params["b2"], stride=1,
-                             padding=0, tape=tape)
+        logits = core.conv2d(h, params["k2"], params["b2"], padding=0, tape=tape)
         scores = core.activation(logits, "sigmoid", tape=tape)
         sums = core.class_sums(scores, tape=tape)
         dsum = delta_sums(sums, labels, 64, tape=tape)

@@ -236,6 +236,9 @@ class TestCheckpointContents:
                                "do not match NetworkSpec"),
         "oversized_width": (dict(edit_meta=lambda m: {**m, "spec": {**m["spec"], "width": 10 ** 9}}),
                             "'stem.kernel' has shape"),
+        "strided_blocks": (dict(edit_meta=lambda m: {**m, "spec": {
+            **m["spec"], "block_strides": [2] + m["spec"]["block_strides"][1:]}}),
+            "block strides (2, 1, 1, 1, 1, 1, 1, 1)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

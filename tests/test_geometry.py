@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from patchcert.geometry import (LayerGeom, PatchRegion, dependency_rects,
                                 dependency_region, enumerate_regions, r_max,
                                 receptive_field)
+from patchcert.model import BLOCK_KERNELS, cifar_spec
 
 from conftest import positive_chain_forward
 
@@ -20,21 +21,17 @@ def contains(outer, inner):
 def reference_interval(lo, hi, size, layers):
     """Scalar reference of the per-layer interval propagation: the inclusive
     input interval [lo, hi] becomes, layer by layer, the output positions
-    whose kernel windows touch it (output j reads padded inputs j*s - p to
-    j*s - p + k - 1), and an empty one stays empty. Returns half-open
-    (lo, hi + 1), or (0, 0) if empty."""
+    whose kernel windows touch it (output j of a stride-1 conv with 'same'
+    padding p = k//2 reads inputs j - p to j + p, clipped to the size).
+    Returns half-open (lo, hi + 1)."""
     for layer in layers:
-        k, s, p = layer.kernel, layer.stride, layer.padding
-        n_out = (size + 2 * p - k) // s + 1
-        if lo <= hi:
-            lo, hi = max(-(-(lo + p - k + 1) // s), 0), min((hi + p) // s, n_out - 1)
-        size = n_out
-    return (lo, hi + 1) if lo <= hi else (0, 0)
+        p = layer.kernel // 2
+        lo, hi = max(lo - p, 0), min(hi + p, size - 1)
+    return lo, hi + 1
 
 
-def stack(*kernels, strides=None):
-    strides = strides or [1] * len(kernels)
-    return [LayerGeom(kernel=k, stride=s) for k, s in zip(kernels, strides)]
+def stack(*kernels):
+    return [LayerGeom(kernel=k) for k in kernels]
 
 
 class TestReceptiveField:
@@ -128,25 +125,6 @@ class TestDependencyRegion:
             assert d_out.row_start <= d_in.row_start <= d_in.row_stop <= d_out.row_stop
             assert d_out.col_start <= d_in.col_start <= d_in.col_stop <= d_out.col_stop
 
-    def test_stride2_1x1_conv_drops_odd_pixels(self):
-        layers = [LayerGeom(kernel=1, stride=2)]
-        dep = dependency_region(PatchRegion(1, 1, 1, 1), layers, 8, 8)
-        assert dep.is_empty
-        assert dep.size == 0
-        dep = dependency_region(PatchRegion(2, 2, 1, 1), layers, 8, 8)
-        assert dep.size == 1
-        assert (dep.row_start, dep.col_start) == (1, 1)
-
-    def test_empty_region_stays_empty_through_later_layers(self):
-        """A pixel the stride-2 1x1 conv drops reaches no output: the 3x3 conv
-        after it must not turn the empty interval into the half-open (0, 2)."""
-        layers = [LayerGeom(1, stride=2), LayerGeom(3)]
-        dep = dependency_region(PatchRegion(1, 1, 1, 1), layers, 8, 8)
-        assert (dep.row_start, dep.row_stop, dep.col_start, dep.col_stop) == (0, 0, 0, 0)
-        assert dep.is_empty
-        rects = dependency_rects([PatchRegion(1, 1, 1, 1), PatchRegion(2, 2, 1, 1)],
-                                 layers, 8, 8)
-        assert [v.tolist() for v in rects] == [[0, 0], [0, 3], [0, 0], [0, 3], [0, 9]]
 
 
 class TestPerturbationOracle:
@@ -156,20 +134,16 @@ class TestPerturbationOracle:
 
     def _changed_mask(self, layers, h, w, rng, pixel):
         kernels = []
-        strides = []
-        paddings = []
         c_prev = 1
         for lg in layers:
             c_next = int(rng.integers(1, 3))
             kernels.append(rng.random((lg.kernel, lg.kernel, c_prev, c_next)) + 0.1)
-            strides.append(lg.stride)
-            paddings.append(lg.padding)
             c_prev = c_next
         x = rng.random((1, h, w, 1)) + 0.1
-        base = positive_chain_forward(x, kernels, strides, paddings)
+        base = positive_chain_forward(x, kernels)
         x2 = x.copy()
         x2[0, pixel[0], pixel[1], 0] += 1.0
-        bumped = positive_chain_forward(x2, kernels, strides, paddings)
+        bumped = positive_chain_forward(x2, kernels)
         return (np.abs(bumped - base) > 1e-12).any(axis=(0, 3))
 
     def test_exact_set_equality_on_random_configs(self, rng):
@@ -184,16 +158,15 @@ class TestPerturbationOracle:
             assert np.array_equal(changed, dep.as_mask(*changed.shape)), \
                 f"trial {trial}: layers {layers} pixel {pixel}"
 
-    def test_strided_configs_against_oracle(self, rng):
-        for _ in range(10):
-            layers = [LayerGeom(kernel=3, stride=1),
-                      LayerGeom(kernel=int(rng.choice([1, 3])), stride=2),
-                      LayerGeom(kernel=int(rng.choice([1, 3])), stride=1)]
-            h = w = 9
-            pixel = (int(rng.integers(0, h)), int(rng.integers(0, w)))
-            changed = self._changed_mask(layers, h, w, rng, pixel)
-            dep = dependency_region(PatchRegion(pixel[0], pixel[1], 1, 1), layers, h, w)
-            assert np.array_equal(changed, dep.as_mask(*changed.shape))
+    @pytest.mark.parametrize("rf", sorted(BLOCK_KERNELS))
+    def test_named_configs_against_oracle(self, rf, rng):
+        """The model's own ten-layer stacks, deeper than the random ones: a
+        corner, an edge and an interior pixel of a 16x16 input."""
+        layers = cifar_spec(rf, input_shape=(16, 16, 1)).layer_geom()
+        for pixel in ((0, 0), (1, 15), (8, 6)):
+            changed = self._changed_mask(layers, 16, 16, rng, pixel)
+            dep = dependency_region(PatchRegion(*pixel, 1, 1), layers, 16, 16)
+            assert np.array_equal(changed, dep.as_mask(16, 16)), f"rf{rf} pixel {pixel}"
 
 
 class TestRMax:
@@ -232,16 +205,14 @@ class TestValidation:
     def test_layer_geom_invariants(self):
         with pytest.raises(ValueError):
             LayerGeom(kernel=5)
-        with pytest.raises(ValueError):
-            LayerGeom(kernel=3, stride=3)
-        assert (LayerGeom(kernel=3).padding, LayerGeom(kernel=1).padding) == (1, 0)
+        with pytest.raises(TypeError):
+            LayerGeom(kernel=3, stride=2)
         with pytest.raises(TypeError):
             LayerGeom(kernel=3, padding=0)
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.lists(st.builds(LayerGeom, st.sampled_from([1, 3]), st.sampled_from([1, 1, 2])),
-                min_size=1, max_size=5),
+@given(st.lists(st.builds(LayerGeom, st.sampled_from([1, 3])), min_size=1, max_size=5),
        st.integers(1, 20), st.integers(1, 20), st.data())
 def test_dependency_rects_match_dependency_region(layers, h_in, w_in, draw):
     """The vectorized rectangles equal the scalar reference propagation and
@@ -257,8 +228,6 @@ def test_dependency_rects_match_dependency_region(layers, h_in, w_in, draw):
     for i, region in enumerate(regions):
         rows = reference_interval(region.top, region.top + region.height - 1, h_in, layers)
         cols = reference_interval(region.left, region.left + region.width - 1, w_in, layers)
-        if rows[0] == rows[1] or cols[0] == cols[1]:
-            rows = cols = (0, 0)
         want = (*rows, *cols, (rows[1] - rows[0]) * (cols[1] - cols[0]))
         assert (r0[i], r1[i], c0[i], c1[i], area[i]) == want
         dep = dependency_region(region, layers, h_in, w_in)

@@ -44,15 +44,12 @@ class TestBuild:
             assert spec.output_shape() == (32, 32, 10)
 
     def test_strided_geoms_declared_but_not_buildable(self):
-        # a strided spec still has a geometry, but no identity-skip model
-        spec = NetworkSpec(name="strided", input_shape=(224, 224, 3), stem_kernel=3,
-                           block_kernels=(3, 1, 3, 1), block_strides=(2, 1, 2, 1),
-                           width=8, classes=10)
-        info = receptive_field(spec.layer_geom(), 224, 224)
-        assert info.rf_h == 3 + 2 + 4  # the stem, then 3x3 convs after strides 1 and 2
-        assert (info.h_out, info.w_out) == (56, 56)
-        with pytest.raises(ValueError, match="stride"):
-            build_model(spec, seed=0)
+        # block_strides is kept in the spec and its checkpoint metadata, but a
+        # spec with any stride other than 1 is rejected when it is made
+        with pytest.raises(ValueError, match=r"block strides \(2, 1, 2, 1\).*stride-1 only"):
+            NetworkSpec(name="strided", input_shape=(224, 224, 3), stem_kernel=3,
+                        block_kernels=(3, 1, 3, 1), block_strides=(2, 1, 2, 1),
+                        width=8, classes=10)
 
     def test_unknown_rf_rejected(self):
         with pytest.raises(ValueError, match="kernel table"):
@@ -88,7 +85,7 @@ class TestForward:
         turned into 0 votes, with no error."""
         x = np.random.default_rng(0).random((2, 12, 12, 1), dtype=np.float32)
         x[1, 5, 7, 0] = np.nan
-        for mode in model.HEADS:
+        for mode in core.ACTIVATION_MODES:
             with pytest.raises(ValueError, match=r"\[0,1\]"):
                 forward(small_params, small_spec, x, mode)
         with pytest.raises(ValueError, match=r"\[0,1\]"):
@@ -228,7 +225,7 @@ class TestTiledForward:
     the tiled forward must reproduce bit for bit."""
 
     @staticmethod
-    def assert_tiles_match_one_tile(params, spec, x, modes=model.HEADS, inside=None):
+    def assert_tiles_match_one_tile(params, spec, x, modes=core.ACTIVATION_MODES, inside=None):
         for mode in modes:
             logits, scores = forward(params, spec, x, mode, inside=inside)
             ref_logits, ref_scores = forward(params, spec, x, mode, tape=GradTape(),
@@ -251,7 +248,7 @@ class TestTiledForward:
         for budget in (core.CONV_TILE_BYTES, 1):
             monkeypatch.setattr(core, "CONV_TILE_BYTES", budget)
             for i, batch in enumerate((1, 8, 37, 128)):
-                mode = model.HEADS[i % 3]
+                mode = core.ACTIVATION_MODES[i % 3]
                 self.assert_tiles_match_one_tile(params, spec, x[:batch], (mode,))
 
     def test_untaped_forward_is_the_taped_one_at_width_64(self):
@@ -285,9 +282,9 @@ class TestTiledForward:
         seen = []
         im2col = core._im2col
 
-        def spy(xp, kh, kw, stride, cols):
+        def spy(xp, kh, kw, cols):
             seen.append((cols.shape, cols.nbytes))
-            return im2col(xp, kh, kw, stride, cols)
+            return im2col(xp, kh, kw, cols)
 
         monkeypatch.setattr(core, "_im2col", spy)
         forward(params, spec, x)
@@ -389,9 +386,9 @@ class TestTiledInputGradient:
         seen = []
         col2im = core._col2im
 
-        def spy(gcols, stride, gx):
+        def spy(gcols, gx):
             seen.append((gcols.shape, gcols.nbytes))
-            col2im(gcols, stride, gx)
+            col2im(gcols, gx)
 
         monkeypatch.setattr(core, "_col2im", spy)
         self.step(params, spec, x)
